@@ -30,8 +30,8 @@
 #include "adversary/attacks.h"
 #include "core/deployment.h"
 #include "ctrl/controller.h"
+#include "metrics_export.h"
 #include "netsim/topology.h"
-#include "obs/obs.h"
 
 namespace {
 
@@ -198,10 +198,7 @@ int main(int argc, char** argv) {
   }
   if (seeds == 0) seeds = 1;
 
-  if (!metrics_path.empty()) {
-    obs::reset();
-    obs::set_enabled(true);
-  }
+  ::pera::obs_bench::enable_metrics(metrics_path);
 
   std::vector<Cell> cells;
   std::vector<Cell> sampling_cells;
@@ -237,18 +234,8 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
 
-  if (!metrics_path.empty()) {
-    const std::string json = obs::dump_json();
-    if (metrics_path == "-") {
-      std::fwrite(json.data(), 1, json.size(), stdout);
-      std::fputc('\n', stdout);
-    } else {
-      std::FILE* mf = std::fopen(metrics_path.c_str(), "w");
-      if (mf != nullptr) {
-        std::fwrite(json.data(), 1, json.size(), mf);
-        std::fclose(mf);
-      }
-    }
+  if (!::pera::obs_bench::write_metrics_json(metrics_path)) {
+    return 1;
   }
 
   // Acceptance gate: within every loss rate, mean detection latency must

@@ -21,9 +21,9 @@
 //   G3  the hierarchy's recovered verdicts match flat per-switch central
 //       appraisal bit-for-bit on the parity cell
 //
-// Flags: --smoke (one small cell + gates G2/G3), --json=PATH.
-// Unknown flags are ignored. Results land in BENCH_fleet.json
-// (committed).
+// Flags: --smoke (one small cell + gates G2/G3), --json=PATH,
+// --metrics-json=PATH (obs dump; "-" = stdout). Unknown flags are
+// ignored. Results land in BENCH_fleet.json (committed).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,6 +37,7 @@
 #include "core/deployment.h"
 #include "dataplane/builder.h"
 #include "fleet/controller.h"
+#include "metrics_export.h"
 #include "netsim/topology.h"
 
 namespace {
@@ -200,12 +201,15 @@ void write_cells(std::FILE* f, const std::vector<Cell>& cells) {
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path = "BENCH_fleet.json";
+  std::string metrics_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") smoke = true;
     else if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
+    else if (arg.rfind("--metrics-json=", 0) == 0) metrics_path = arg.substr(15);
     // Unknown flags are ignored (harness-wide sweeps pass shared flags).
   }
+  ::pera::obs_bench::enable_metrics(metrics_path);
 
   const std::uint64_t seed = 1000;
   std::vector<Cell> cells;
@@ -286,6 +290,10 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
+
+  if (!::pera::obs_bench::write_metrics_json(metrics_path)) {
+    return 1;
+  }
 
   if (!gates_ok) {
     std::fprintf(stderr, "%s", gate_report.c_str());

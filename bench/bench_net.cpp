@@ -35,9 +35,9 @@
 #include <vector>
 
 #include "crypto/sha256.h"
+#include "metrics_export.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "obs/obs.h"
 #include "pipeline/pipeline.h"
 
 namespace {
@@ -194,10 +194,7 @@ int main(int argc, char** argv) {
     else if (arg.rfind("--metrics-json=", 0) == 0) metrics_path = arg.substr(15);
     // Unknown flags are ignored (harness-wide sweeps pass shared flags).
   }
-  if (!metrics_path.empty()) {
-    obs::reset();
-    obs::set_enabled(true);
-  }
+  ::pera::obs_bench::enable_metrics(metrics_path);
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const Keys keys;
@@ -242,18 +239,8 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
 
-  if (!metrics_path.empty()) {
-    const std::string json = obs::dump_json();
-    if (metrics_path == "-") {
-      std::fwrite(json.data(), 1, json.size(), stdout);
-      std::fputc('\n', stdout);
-    } else {
-      std::FILE* mf = std::fopen(metrics_path.c_str(), "w");
-      if (mf != nullptr) {
-        std::fwrite(json.data(), 1, json.size(), mf);
-        std::fclose(mf);
-      }
-    }
+  if (!::pera::obs_bench::write_metrics_json(metrics_path)) {
+    return 1;
   }
 
   // Gate 1: the top cell establishes and completes everything.

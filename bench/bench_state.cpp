@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "dataplane/nf.h"
-#include "obs/obs.h"
+#include "metrics_export.h"
 
 namespace {
 
@@ -211,10 +211,7 @@ int main(int argc, char** argv) {
   }
   if (rounds == 0) rounds = 1;
 
-  if (!metrics_path.empty()) {
-    obs::reset();
-    obs::set_enabled(true);
-  }
+  ::pera::obs_bench::enable_metrics(metrics_path);
 
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{1000, 4000}
@@ -278,18 +275,8 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
 
-  if (!metrics_path.empty()) {
-    const std::string json = obs::dump_json();
-    if (metrics_path == "-") {
-      std::fwrite(json.data(), 1, json.size(), stdout);
-      std::fputc('\n', stdout);
-    } else {
-      std::FILE* mf = std::fopen(metrics_path.c_str(), "w");
-      if (mf != nullptr) {
-        std::fwrite(json.data(), 1, json.size(), mf);
-        std::fclose(mf);
-      }
-    }
+  if (!::pera::obs_bench::write_metrics_json(metrics_path)) {
+    return 1;
   }
 
   // Acceptance gates.

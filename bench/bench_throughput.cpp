@@ -58,7 +58,6 @@
 #include "obs_bench_main.h"
 #include "pipeline/affinity.h"
 #include "pipeline/pipeline.h"
-#include "pipeline/reassembler.h"
 
 namespace {
 

@@ -9,15 +9,17 @@
 //   --trace-capacity=N    resize the trace ring before the run
 //
 // Without --metrics-json, observability stays runtime-disabled and the
-// instrumented paths cost one relaxed atomic load per site.
+// instrumented paths cost one relaxed atomic load per site. The benches
+// with a plain main() parse --metrics-json themselves and use the
+// helpers of metrics_export.h directly.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 
+#include "metrics_export.h"
 #include "obs/obs.h"
 
 namespace pera::obs_bench {
@@ -45,35 +47,17 @@ inline int run(int argc, char** argv) {
   }
   argc = out_argc;
 
-  if (!metrics_path.empty()) {
-    if (trace_capacity > 0) pera::obs::trace().set_capacity(trace_capacity);
-    pera::obs::reset();
-    pera::obs::set_enabled(true);
+  if (!metrics_path.empty() && trace_capacity > 0) {
+    ::pera::obs::trace().set_capacity(trace_capacity);
   }
+  enable_metrics(metrics_path);
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  if (!metrics_path.empty()) {
-    const std::string json = pera::obs::dump_json();
-    if (metrics_path == "-") {
-      std::fwrite(json.data(), 1, json.size(), stdout);
-      std::fputc('\n', stdout);
-    } else {
-      std::FILE* f = std::fopen(metrics_path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write metrics to %s\n",
-                     metrics_path.c_str());
-        return 1;
-      }
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
-    }
-  }
-  return 0;
+  return write_metrics_json(metrics_path) ? 0 : 1;
 }
 
 }  // namespace pera::obs_bench

@@ -128,9 +128,17 @@ build/tools/pera_net --selftest > /dev/null
 # Hierarchical appraisal gates run inside the bench (scale, load bound,
 # flat-appraisal parity; nonzero exit on violation).
 echo "== fleet appraisal bench (smoke) =="
-build/bench/bench_fleet --smoke --json=build/BENCH_fleet.smoke.json > /dev/null
+build/bench/bench_fleet --smoke --json=build/BENCH_fleet.smoke.json \
+  --metrics-json=build/fleet.metrics.json > /dev/null
 grep -q '"gates": "pass"' build/BENCH_fleet.smoke.json
 grep -q '"load_ok": true' build/BENCH_fleet.smoke.json
+grep -q '"fleet.waves.launched"' build/fleet.metrics.json
+
+# The repository benchmark is a separate CMake package compiling ../src
+# (nothing above builds it); its selftest runs every workload tiny,
+# traced and untraced, and requires injected faults to fail its checks.
+echo "== repository benchmark selftest (perfbench) =="
+python3 perfbench/run.py --selftest > /dev/null
 
 echo "== pera_ctl closed-loop scenario (smoke) =="
 build/tools/pera_ctl --seed=42 --loss=0.05 --interval-ms=50 \

@@ -132,10 +132,8 @@ void AppraiserServer::start() {
 
   pipeline::AppraiserOptions opts;
   opts.workers = config_.appraiser_workers;
-  opts.queue_capacity = config_.ring_capacity;
   opts.scheme = config_.scheme;
   opts.xmss_height = config_.xmss_height;
-  opts.verify_burst = config_.verify_burst;
   opts.record_hook = [this](const pipeline::EvidenceItem& item,
                             pipeline::AppraisedRecord&& rec) {
     on_appraised(item, std::move(rec));

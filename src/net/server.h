@@ -52,8 +52,6 @@ struct ServerConfig {
   std::uint16_t port = 0;  // 0 = ephemeral; see AppraiserServer::port()
   std::size_t reactors = 1;
   std::size_t appraiser_workers = 1;
-  std::size_t verify_burst = 16;
-  std::size_t ring_capacity = 4096;
   std::size_t max_sessions = 1 << 15;
   /// Pause reads above this many buffered outbound bytes per connection…
   std::size_t write_buffer_limit = 1 << 20;

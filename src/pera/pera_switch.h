@@ -106,6 +106,11 @@ class PeraSwitch {
  private:
   [[nodiscard]] bool sampler_fires(const crypto::Digest& flow_key,
                                    std::uint8_t sampling_log2);
+  /// Wrap every pending out-of-band record with its batch receipt
+  /// (receipts[i] signs pending_oob_[i]), append the signed records to
+  /// `out`, and clear the pending list.
+  void sign_pending(const std::vector<BatchedSignature>& receipts,
+                    std::vector<OutOfBandEvidence>& out);
 
   std::string name_;
   dataplane::PisaSwitch switch_;

@@ -1,14 +1,157 @@
 #include "pipeline/appraiser.h"
 
+#include <algorithm>
 #include <string>
 
+#include "copland/evidence.h"
+#include "crypto/hmac.h"
 #include "obs/obs.h"
 #include "obs/profiler.h"
 #include "pipeline/affinity.h"
+#include "pipeline/pipeline.h"
 
 namespace pera::pipeline {
 
 namespace prof = obs::profiler;
+
+namespace {
+
+// Capacity of each (producer, worker) evidence ring.
+constexpr std::size_t kRingCapacity = 4096;
+// Max items popped per ring visit — the verification batch grain.
+constexpr std::size_t kVerifyBurst = 16;
+
+}  // namespace
+
+VerifierSet::VerifierSet(const crypto::Digest& root_key,
+                         std::string_view label, std::size_t max_shards,
+                         crypto::SignatureScheme scheme,
+                         unsigned xmss_height) {
+  const std::vector<crypto::Digest> keys =
+      PeraPipeline::shard_keys(root_key, label, max_shards);
+  verifiers_.reserve(keys.size());
+  for (const crypto::Digest& k : keys) {
+    if (scheme == crypto::SignatureScheme::kXmss) {
+      // The appraiser re-derives the shard's XMSS keypair from the
+      // shared derived seed to learn the public root (symmetric
+      // provisioning, like the HMAC device keys), then keeps only the
+      // public-root verifier.
+      const crypto::XmssSigner provision(k, xmss_height);
+      verifiers_.push_back(
+          std::make_unique<crypto::XmssVerifier>(provision.public_root()));
+    } else {
+      verifiers_.push_back(std::make_unique<crypto::HmacVerifier>(k));
+    }
+    by_key_id_[verifiers_.back()->key_id()] = verifiers_.size() - 1;
+  }
+}
+
+const crypto::Verifier* VerifierSet::by_key_id(
+    const crypto::Digest& id) const {
+  const auto it = by_key_id_.find(id);
+  return it == by_key_id_.end() ? nullptr : verifiers_[it->second].get();
+}
+
+AppraisedRecord appraise_record(const EvidenceItem& item,
+                                const VerifierSet& verifiers) {
+  AppraisedRecord rec;
+  rec.seq = item.seq;
+  rec.shard = item.shard;
+  try {
+    const copland::EvidencePtr ev = copland::decode(
+        crypto::BytesView{item.evidence.data(), item.evidence.size()});
+    rec.decoded = true;
+    if (ev->kind == copland::EvidenceKind::kSignature && ev->child != nullptr) {
+      if (const crypto::Verifier* v = verifiers.by_key_id(ev->sig.key_id)) {
+        rec.sig_ok =
+            crypto::verify_any(*v, copland::digest(ev->child), ev->sig);
+      }
+      rec.content = ev->child;
+    } else {
+      rec.content = ev;  // unsigned evidence: content-only appraisal
+      rec.sig_ok = true;
+    }
+  } catch (const std::exception&) {
+    return rec;  // decoded=false: counted as a failure by the fold
+  }
+  PERA_OBS_COUNT(rec.sig_ok ? "pipeline.appraise.sig_ok"
+                            : "pipeline.appraise.sig_fail");
+  return rec;
+}
+
+FlowVerdict fold_flow(std::uint64_t flow,
+                      std::vector<AppraisedRecord>& records,
+                      nac::CompositionMode mode) {
+  // Restore per-flow order: the dispatcher's sequence numbers are
+  // global, so they order a flow's records no matter which shard (or
+  // how many shards) produced them. Stable, so the several records one
+  // packet can emit keep their emission order.
+  std::stable_sort(records.begin(), records.end(),
+                   [](const AppraisedRecord& a, const AppraisedRecord& b) {
+                     if (a.seq != b.seq) return a.seq < b.seq;
+                     return a.shard < b.shard;
+                   });
+
+  FlowVerdict verdict;
+  verdict.flow = flow;
+  verdict.records = records.size();
+  verdict.ok = true;
+
+  copland::EvidencePtr chain = copland::Evidence::empty();
+  crypto::Sha256 pointwise;
+  pointwise.update("pera.pipeline.pointwise");
+
+  for (const AppraisedRecord& rec : records) {
+    if (!rec.decoded) {
+      verdict.ok = false;
+      ++verdict.signature_failures;
+      continue;
+    }
+    if (!rec.sig_ok) {
+      verdict.ok = false;
+      ++verdict.signature_failures;
+    }
+    // Fold the signed content (shard-key independent) into the flow
+    // transcript under the policy's composition mode.
+    if (mode == nac::CompositionMode::kChained) {
+      chain = copland::Evidence::extend(chain, rec.content);
+    } else {
+      pointwise.update(copland::digest(rec.content));
+      pointwise.update(crypto::BytesView{
+          reinterpret_cast<const std::uint8_t*>(&rec.sig_ok), 1});
+    }
+  }
+
+  if (mode == nac::CompositionMode::kChained) {
+    crypto::Sha256 h;
+    h.update("pera.pipeline.chained");
+    h.update(copland::digest(chain));
+    const std::uint8_t ok_byte = verdict.ok ? 1 : 0;
+    h.update(crypto::BytesView{&ok_byte, 1});
+    verdict.transcript = h.finish();
+  } else {
+    verdict.transcript = pointwise.finish();
+  }
+  PERA_OBS_EVENT(obs::SpanKind::kAppraise, "pipeline", 0,
+                 verdict.ok ? 1 : 0);
+  return verdict;
+}
+
+crypto::Digest summary_digest(
+    const std::map<std::uint64_t, FlowVerdict>& verdicts) {
+  crypto::Sha256 h;
+  h.update("pera.pipeline.summary");
+  for (const auto& [flow, v] : verdicts) {
+    crypto::Bytes b;
+    crypto::append_u64(b, flow);
+    crypto::append_u64(b, v.records);
+    crypto::append_u64(b, v.signature_failures);
+    b.push_back(v.ok ? 1 : 0);
+    h.update(crypto::BytesView{b.data(), b.size()});
+    h.update(v.transcript);
+  }
+  return h.finish();
+}
 
 ParallelAppraiser::ParallelAppraiser(const crypto::Digest& root_key,
                                      std::string_view label,
@@ -18,7 +161,6 @@ ParallelAppraiser::ParallelAppraiser(const crypto::Digest& root_key,
       verifiers_(root_key, label, max_shards, options.scheme,
                  options.xmss_height) {
   if (options_.workers == 0) options_.workers = 1;
-  if (options_.verify_burst == 0) options_.verify_burst = 1;
 }
 
 ParallelAppraiser::~ParallelAppraiser() { finish(); }
@@ -31,7 +173,7 @@ void ParallelAppraiser::start(std::size_t producers) {
   rings_.reserve(producers_ * options_.workers);
   for (std::size_t i = 0; i < producers_ * options_.workers; ++i) {
     rings_.push_back(
-        std::make_unique<SpscQueue<EvidenceItem>>(options_.queue_capacity));
+        std::make_unique<SpscQueue<EvidenceItem>>(kRingCapacity));
   }
   states_.resize(options_.workers);
   threads_.reserve(options_.workers);
@@ -70,25 +212,29 @@ void ParallelAppraiser::run_worker(std::size_t w) {
                                    prof::Stage::kIdle);
   WorkerState& state = states_[w];
   EvidenceItem item;
+  // Pop one item from `q` and appraise it; false when `q` is empty.
+  const auto appraise_one = [&](SpscQueue<EvidenceItem>& q) {
+    if (!q.try_pop(item)) return false;
+    prof::enter(prof::Stage::kWotsVerify);
+    AppraisedRecord rec = appraise_record(item, verifiers_);
+    prof::enter(prof::Stage::kReassembly);
+    if (options_.record_hook) {
+      options_.record_hook(item, std::move(rec));
+    } else {
+      state.flows[item.flow].push_back(std::move(rec));
+    }
+    ++state.records;
+    return true;
+  };
   Backoff idle;
   for (;;) {
     // Visit every producer's ring; pop in bursts so verification runs
     // as a batch per visit.
     std::size_t popped = 0;
     for (std::size_t p = 0; p < producers_; ++p) {
-      SpscQueue<EvidenceItem>& q = ring(p, w);
-      for (std::size_t n = 0; n < options_.verify_burst; ++n) {
-        if (!q.try_pop(item)) break;
+      for (std::size_t n = 0; n < kVerifyBurst && appraise_one(ring(p, w));
+           ++n) {
         ++popped;
-        prof::enter(prof::Stage::kWotsVerify);
-        AppraisedRecord rec = appraise_record(item, verifiers_);
-        prof::enter(prof::Stage::kReassembly);
-        if (options_.record_hook) {
-          options_.record_hook(item, std::move(rec));
-        } else {
-          state.flows[item.flow].push_back(std::move(rec));
-        }
-        ++state.records;
       }
     }
     if (popped != 0) {
@@ -100,17 +246,7 @@ void ParallelAppraiser::run_worker(std::size_t w) {
       // push can race this final drain: empty one last full pass and
       // the rings stay empty forever.
       for (std::size_t p = 0; p < producers_; ++p) {
-        SpscQueue<EvidenceItem>& q = ring(p, w);
-        while (q.try_pop(item)) {
-          prof::enter(prof::Stage::kWotsVerify);
-          AppraisedRecord rec = appraise_record(item, verifiers_);
-          prof::enter(prof::Stage::kReassembly);
-          if (options_.record_hook) {
-            options_.record_hook(item, std::move(rec));
-          } else {
-            state.flows[item.flow].push_back(std::move(rec));
-          }
-          ++state.records;
+        while (appraise_one(ring(p, w))) {
         }
       }
       break;

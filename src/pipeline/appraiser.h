@@ -1,25 +1,37 @@
-// Parallel appraisal: per-shard appraiser workers with a deterministic
-// merge.
+// Appraisal of shard-interleaved evidence streams (§5.2, Fig. 4).
 //
-// PR 2's ShardedAppraiser verified and folded every flow on one thread
-// *after* the pipeline run — the serial tail that kept wall-clock
-// packets/sec flat while simulated packets/sec scaled with shards. This
-// splits appraisal the way Petz & Alexander layer attestation managers:
-// N independent appraiser workers each own a disjoint slice of the flow
-// space (the same multiplicative hash-partition the dispatcher uses for
-// shards), verify evidence *concurrently with the pipeline run*, and
-// their per-flow verdicts compose through a cheap deterministic merge —
-// per-flow work is identical to the serial path (appraise_record +
-// fold_flow in reassembler.h), and flow slices are disjoint, so the
-// merged verdict map and summary digest are bit-identical to
-// ShardedAppraiser for any (shard count × appraiser count).
+// Shards emit evidence records in their own local order, so what reaches
+// the appraiser is an interleaving across flows. Appraisal verifies each
+// record's signature against the per-shard device keys (derived from the
+// same root the pipeline used), buckets records per flow, restores
+// per-flow order by dispatcher sequence number, and folds the per-flow
+// composition — chained (Seq) or pointwise.
+//
+// The per-record work (appraise_record) and the per-flow fold
+// (fold_flow) are free functions, run by ParallelAppraiser.
+// It splits appraisal the way Petz & Alexander layer attestation
+// managers: N independent appraiser workers each own a disjoint slice of
+// the flow space (the same multiplicative hash-partition the dispatcher
+// uses for shards), verify evidence concurrently with the pipeline run,
+// and compose their per-flow verdicts through a deterministic merge.
+// Flow slices are disjoint and std::map orders by flow id, so the merged
+// verdict map and summary digest are independent of both shard count
+// and appraiser count.
+//
+// The per-flow transcript digest deliberately covers only the *signed
+// content* (the evidence under the signature node) plus the verification
+// outcome, not the signature bytes: shard keys differ by shard, so the
+// same flow processed by shard 0 (at 1 shard) or shard 3 (at 4 shards)
+// yields different signatures over bit-identical content. That is what
+// makes verdicts shard-count invariant — the property the determinism
+// tests pin down.
 //
 // Wiring: one SPSC ring per (producer shard, appraiser worker) pair —
 // the producing shard thread is the only pusher and the owning appraiser
 // the only popper, so the evidence hand-off takes zero locks, like the
 // packet rings. Workers pop in bursts so signature verification runs in
 // batches (with the XMSS scheme each verification's WOTS chain walk
-// rides the multi-lane SHA-256 engine from PR 4).
+// rides the multi-lane SHA-256 engine).
 //
 // Shutdown (the defined drain order, see PeraPipeline::stop()):
 //   1. shard rings drain, shard batchers flush — on the shard threads;
@@ -30,6 +42,7 @@
 // never be dropped, at any batch size or packet count.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -37,18 +50,77 @@
 #include <thread>
 #include <vector>
 
-#include "pipeline/reassembler.h"
+#include "crypto/signer.h"
+#include "nac/binder.h"
+#include "pipeline/worker.h"
 
 namespace pera::pipeline {
 
+struct FlowVerdict {
+  std::uint64_t flow = 0;
+  std::size_t records = 0;
+  std::size_t signature_failures = 0;
+  bool ok = false;               // all records present-and-verified
+  crypto::Digest transcript{};   // composition-mode-sensitive fold
+};
+
+/// The per-shard verifiers an appraiser provisions from the shared root
+/// key: one per derived device key, resolved by key id (the appraiser
+/// does not know the attester's shard count). Supports the symmetric
+/// HmacSigner scheme and the hash-based XmssSigner scheme (whose WOTS
+/// chain walk rides the multi-lane SHA-256 engine).
+class VerifierSet {
+ public:
+  VerifierSet(const crypto::Digest& root_key, std::string_view label,
+              std::size_t max_shards,
+              crypto::SignatureScheme scheme =
+                  crypto::SignatureScheme::kHmacDeviceKey,
+              unsigned xmss_height = 8);
+
+  /// nullptr when no provisioned key matches.
+  [[nodiscard]] const crypto::Verifier* by_key_id(
+      const crypto::Digest& id) const;
+
+  [[nodiscard]] std::size_t size() const { return verifiers_.size(); }
+
+ private:
+  std::vector<std::unique_ptr<crypto::Verifier>> verifiers_;
+  std::map<crypto::Digest, std::size_t> by_key_id_;
+};
+
+/// One evidence record after signature verification, ready for the
+/// per-flow fold. `content` is the evidence under the signature node
+/// (or the whole term for unsigned records); null when decoding failed.
+struct AppraisedRecord {
+  std::uint64_t seq = 0;
+  std::uint32_t shard = 0;
+  bool decoded = false;
+  bool sig_ok = false;
+  copland::EvidencePtr content;
+};
+
+/// Decode + verify one evidence item (the parallelizable per-record
+/// work). Counts pipeline.appraise.sig_ok/.sig_fail.
+[[nodiscard]] AppraisedRecord appraise_record(const EvidenceItem& item,
+                                              const VerifierSet& verifiers);
+
+/// Order `records` by (seq, shard) — stable, so same-packet records keep
+/// their emission order — and fold them into the flow verdict under
+/// `mode`. Consumes the record order in place.
+[[nodiscard]] FlowVerdict fold_flow(std::uint64_t flow,
+                                    std::vector<AppraisedRecord>& records,
+                                    nac::CompositionMode mode);
+
+/// Digest over all flow verdicts — one value to compare across shard
+/// and appraiser counts (the determinism tests' fixed point).
+[[nodiscard]] crypto::Digest summary_digest(
+    const std::map<std::uint64_t, FlowVerdict>& verdicts);
+
 struct AppraiserOptions {
   std::size_t workers = 1;
-  std::size_t queue_capacity = 4096;  // per (producer, worker) ring
   nac::CompositionMode mode = nac::CompositionMode::kChained;
   crypto::SignatureScheme scheme = crypto::SignatureScheme::kHmacDeviceKey;
   unsigned xmss_height = 8;
-  /// Max items popped per ring visit — the verification batch grain.
-  std::size_t verify_burst = 16;
   /// Pin worker i to core pin_base + i (affinity.h); < 0 = no pinning.
   int pin_base = -1;
   /// Streaming mode: when set, each appraised record is handed to this
@@ -62,8 +134,8 @@ struct AppraiserOptions {
 
 class ParallelAppraiser final : public EvidenceSink {
  public:
-  /// Provision verifiers for up to `max_shards` derived device keys,
-  /// exactly like ShardedAppraiser.
+  /// Provision verifiers for up to `max_shards` derived device keys
+  /// (see VerifierSet).
   ParallelAppraiser(const crypto::Digest& root_key, std::string_view label,
                     std::size_t max_shards, AppraiserOptions options = {});
   ~ParallelAppraiser() override;
@@ -89,7 +161,7 @@ class ParallelAppraiser final : public EvidenceSink {
     return verdicts_;
   }
   [[nodiscard]] crypto::Digest summary() const {
-    return ShardedAppraiser::summary(verdicts_);
+    return summary_digest(verdicts_);
   }
   [[nodiscard]] std::size_t flows() const { return verdicts_.size(); }
   [[nodiscard]] std::uint64_t records() const { return records_; }

@@ -84,12 +84,7 @@ std::uint64_t flow_hash(const FlowKey& key) {
 
 std::size_t shard_of(const dataplane::RawPacket& raw, std::size_t shards) {
   if (shards <= 1) return 0;
-  // Multiply-shift reduction: evenly spreads the FNV output without the
-  // modulo bias of `h % shards` on sequential tuples.
-  const std::uint64_t h = flow_hash(extract_flow_key(raw));
-  return static_cast<std::size_t>((static_cast<unsigned __int128>(h) *
-                                   shards) >>
-                                  64);
+  return shard_of_flow(flow_hash(extract_flow_key(raw)), shards);
 }
 
 }  // namespace pera::pipeline

@@ -35,6 +35,15 @@ struct FlowKey {
 /// 64-bit mix of a flow key (FNV-1a over the canonical tuple encoding).
 [[nodiscard]] std::uint64_t flow_hash(const FlowKey& key);
 
+/// Reduce a flow hash onto `shards` workers. Multiply-shift spreads the
+/// FNV output evenly, without the modulo bias of `h % shards` on
+/// sequential tuples.
+[[nodiscard]] inline std::size_t shard_of_flow(std::uint64_t flow,
+                                               std::size_t shards) {
+  return static_cast<std::size_t>(
+      (static_cast<unsigned __int128>(flow) * shards) >> 64);
+}
+
 /// Convenience: hash the raw packet and reduce onto `shards` workers.
 [[nodiscard]] std::size_t shard_of(const dataplane::RawPacket& raw,
                                    std::size_t shards);

@@ -11,6 +11,30 @@ namespace pera::pipeline {
 
 namespace prof = obs::profiler;
 
+namespace {
+
+// Simulated dispatcher cost per packet (flow hash + ring push) — the
+// serial fraction that Amdahl-limits shard scaling.
+constexpr netsim::SimTime kDispatchCost = 25;
+
+PipelineOptions clamped(PipelineOptions options) {
+  if (options.shards == 0) options.shards = 1;
+  if (options.appraisers == 0) options.appraisers = 1;
+  return options;
+}
+
+AppraiserOptions appraiser_options(const PipelineOptions& options) {
+  AppraiserOptions ao;
+  ao.workers = options.appraisers;
+  ao.mode = options.appraise_mode;
+  ao.scheme = options.scheme;
+  ao.xmss_height = options.xmss_height;
+  ao.pin_base = options.pin_cores ? static_cast<int>(options.shards) : -1;
+  return ao;
+}
+
+}  // namespace
+
 netsim::SimTime PipelineReport::latency_percentile(double p) const {
   if (latencies.empty()) return 0;
   const double rank = p * static_cast<double>(latencies.size() - 1);
@@ -27,33 +51,21 @@ std::vector<crypto::Digest> PeraPipeline::shard_keys(
 PeraPipeline::PeraPipeline(std::string name, ProgramFactory factory,
                            const crypto::Digest& root_key,
                            PipelineOptions options)
-    : name_(std::move(name)), options_(options) {
-  if (options_.shards == 0) options_.shards = 1;
+    : name_(std::move(name)),
+      options_(clamped(std::move(options))),
+      appraiser_(root_key, options_.shard_key_label, options_.shards,
+                 appraiser_options(options_)) {
   const std::vector<crypto::Digest> keys =
       shard_keys(root_key, options_.shard_key_label, options_.shards);
   workers_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
     workers_.push_back(std::make_unique<ShardWorker>(
         static_cast<std::uint32_t>(i), name_, factory, keys[i], epochs_,
-        options_.pera, options_.queue_capacity, options_.base_packet_cost,
-        options_.scheme, options_.xmss_height));
+        appraiser_, options_.pera, options_.queue_capacity, options_.scheme,
+        options_.xmss_height));
     if (options_.pin_cores) {
       workers_.back()->set_pin_cpu(static_cast<int>(i));
     }
-  }
-  if (options_.appraisers > 0) {
-    AppraiserOptions ao;
-    ao.workers = options_.appraisers;
-    ao.queue_capacity = options_.appraiser_queue_capacity;
-    ao.mode = options_.appraise_mode;
-    ao.scheme = options_.scheme;
-    ao.xmss_height = options_.xmss_height;
-    ao.verify_burst = options_.verify_burst;
-    ao.pin_base =
-        options_.pin_cores ? static_cast<int>(options_.shards) : -1;
-    appraiser_ = std::make_unique<ParallelAppraiser>(
-        root_key, options_.shard_key_label, options_.shards, ao);
-    for (auto& w : workers_) w->set_sink(appraiser_.get());
   }
 }
 
@@ -64,7 +76,7 @@ void PeraPipeline::start() {
   crypto::engine::publish_metrics();
   started_ = true;
   stop_.store(false, std::memory_order_release);
-  if (appraiser_) appraiser_->start(workers_.size());
+  appraiser_.start(workers_.size());
   threads_.reserve(workers_.size());
   for (auto& w : workers_) {
     threads_.emplace_back([worker = w.get(), this] { worker->run(stop_); });
@@ -75,10 +87,9 @@ bool PeraPipeline::submit(const dataplane::RawPacket& raw,
                           const nac::PolicyHeader* header) {
   const prof::ScopedStage dispatching(prof::Stage::kDispatch);
   const std::uint64_t flow = flow_hash(extract_flow_key(raw));
-  const std::size_t shard = static_cast<std::size_t>(
-      (static_cast<unsigned __int128>(flow) * workers_.size()) >> 64);
+  const std::size_t shard = shard_of_flow(flow, workers_.size());
 
-  dispatch_clock_ += options_.dispatch_cost;
+  dispatch_clock_ += kDispatchCost;
   PacketJob job;
   // Allocation-free fast path: reuse the capacity of a buffer the target
   // shard already spent, instead of allocating a fresh copy.
@@ -133,7 +144,7 @@ void PeraPipeline::stop() {
   }
   threads_.clear();
   for (auto& w : workers_) w->drain_deferred();
-  if (appraiser_) appraiser_->finish();
+  appraiser_.finish();
 }
 
 void PeraPipeline::load_program(ProgramFactory factory) {
@@ -152,20 +163,6 @@ void PeraPipeline::update_table(std::string table,
   op.entry = std::move(entry);
   epochs_.publish(std::move(op));
   PERA_OBS_COUNT("pipeline.control.table_updates");
-}
-
-std::vector<EvidenceItem> PeraPipeline::collect_evidence() const {
-  std::vector<EvidenceItem> out;
-  for (const auto& w : workers_) {
-    out.insert(out.end(), w->evidence().begin(), w->evidence().end());
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const EvidenceItem& a, const EvidenceItem& b) {
-                     if (a.flow != b.flow) return a.flow < b.flow;
-                     if (a.seq != b.seq) return a.seq < b.seq;
-                     return a.shard < b.shard;
-                   });
-  return out;
 }
 
 PipelineReport PeraPipeline::report() const {

@@ -4,7 +4,9 @@
 // workers over bounded lock-free SPSC rings; each worker is a
 // shared-nothing PERA pipe (own dataplane tables, measurement unit,
 // evidence cache, batcher and HMAC device key derived per shard from the
-// pipeline root key). Control-plane mutations go through the seqlock
+// pipeline root key). Every shard streams its evidence into the
+// pipeline's ParallelAppraiser while the run is still going; stop()
+// finishes it. Control-plane mutations go through the seqlock
 // EpochBlock; everything else is per-shard. See docs/ARCHITECTURE.md
 // ("Parallel pipeline") for the protocol and the shard-invariance
 // argument.
@@ -36,19 +38,11 @@ struct PipelineOptions {
   /// dispatcher spins (requires started workers) — lossless backpressure.
   bool drop_on_full = true;
   ::pera::pera::PeraConfig pera;
-  /// Simulated dispatcher cost per packet (flow hash + ring push) — the
-  /// serial fraction that Amdahl-limits shard scaling.
-  netsim::SimTime dispatch_cost = 25;
-  /// Simulated parse/match/deparse cost per packet on a shard, on top of
-  /// the RA cost the evidence engine reports.
-  netsim::SimTime base_packet_cost = 120;
   /// Label for per-shard device-key derivation from the root key.
   std::string shard_key_label = "pera.pipeline.shard";
-  /// > 0: run a ParallelAppraiser with this many workers concurrently
-  /// with the pipeline — shards stream evidence straight into it and
-  /// stop() finishes it (the defined drain order). 0 (default): evidence
-  /// buffers per shard for post-run collect_evidence(), as before.
-  std::size_t appraisers = 0;
+  /// Workers of the in-pipeline ParallelAppraiser that shards stream
+  /// evidence into (0 is treated as 1, like shards).
+  std::size_t appraisers = 1;
   /// Fold mode the in-pipeline appraiser uses per flow.
   nac::CompositionMode appraise_mode = nac::CompositionMode::kChained;
   /// Evidence signature scheme for every shard signer (and the matching
@@ -56,10 +50,6 @@ struct PipelineOptions {
   /// walk through the multi-lane SHA-256 engine.
   crypto::SignatureScheme scheme = crypto::SignatureScheme::kHmacDeviceKey;
   unsigned xmss_height = 8;
-  /// Capacity of each (shard, appraiser) evidence ring.
-  std::size_t appraiser_queue_capacity = 4096;
-  /// Items an appraiser pops per ring visit (verification batch grain).
-  std::size_t verify_burst = 16;
   /// Pin threads round-robin: shard i -> core i, appraiser j -> core
   /// shards + j (modulo the host's core count). Best effort.
   bool pin_cores = false;
@@ -94,7 +84,7 @@ class PeraPipeline {
   /// `factory` must deterministically build identical programs (each
   /// shard materializes its own instance). The per-shard HMAC device
   /// keys are derive_keys(root_key, options.shard_key_label, shards);
-  /// appraisers derive the same set — see ShardedAppraiser.
+  /// appraisers derive the same set — see VerifierSet.
   PeraPipeline(std::string name, ProgramFactory factory,
                const crypto::Digest& root_key, PipelineOptions options = {});
   ~PeraPipeline();
@@ -135,19 +125,14 @@ class PeraPipeline {
 
   [[nodiscard]] const EpochBlock& epochs() const { return epochs_; }
 
-  /// The in-pipeline parallel appraiser (null unless options.appraisers
-  /// > 0). Verdicts/summary are valid after stop().
-  [[nodiscard]] ParallelAppraiser* appraiser() { return appraiser_.get(); }
+  /// The in-pipeline parallel appraiser (never null). Verdicts/summary
+  /// are valid after stop().
+  [[nodiscard]] ParallelAppraiser* appraiser() { return &appraiser_; }
   [[nodiscard]] const ParallelAppraiser* appraiser() const {
-    return appraiser_.get();
+    return &appraiser_;
   }
 
   // --- post-run results (call after stop()) -------------------------------
-  /// All shards' evidence, merged and sorted by (flow, seq, shard) — a
-  /// canonical order independent of shard count and thread timing.
-  /// Empty when evidence streamed into an appraiser instead.
-  [[nodiscard]] std::vector<EvidenceItem> collect_evidence() const;
-
   [[nodiscard]] PipelineReport report() const;
 
   [[nodiscard]] const ShardWorker& worker(std::size_t i) const {
@@ -163,8 +148,10 @@ class PeraPipeline {
   std::string name_;
   PipelineOptions options_;
   EpochBlock epochs_;
+  // Declared before the workers: they hold a reference to it as their
+  // evidence sink.
+  ParallelAppraiser appraiser_;
   std::vector<std::unique_ptr<ShardWorker>> workers_;
-  std::unique_ptr<ParallelAppraiser> appraiser_;
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_{false};
   bool started_ = false;

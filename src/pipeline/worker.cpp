@@ -11,6 +11,10 @@ namespace pera::pipeline {
 
 namespace {
 
+// Simulated parse/match/deparse cost per packet on a shard, on top of the
+// RA cost the evidence engine reports.
+constexpr netsim::SimTime kBasePacketCost = 120;
+
 std::unique_ptr<crypto::Signer> make_signer(const crypto::Digest& device_key,
                                             crypto::SignatureScheme scheme,
                                             unsigned xmss_height) {
@@ -25,9 +29,8 @@ std::unique_ptr<crypto::Signer> make_signer(const crypto::Digest& device_key,
 ShardWorker::ShardWorker(std::uint32_t id, std::string place,
                          const ProgramFactory& factory,
                          const crypto::Digest& device_key,
-                         const EpochBlock& epochs, pera::PeraConfig config,
-                         std::size_t queue_capacity,
-                         netsim::SimTime base_packet_cost,
+                         const EpochBlock& epochs, EvidenceSink& sink,
+                         pera::PeraConfig config, std::size_t queue_capacity,
                          crypto::SignatureScheme scheme, unsigned xmss_height)
     : id_(id),
       signer_(make_signer(device_key, scheme, xmss_height)),
@@ -35,7 +38,7 @@ ShardWorker::ShardWorker(std::uint32_t id, std::string place,
       epochs_(&epochs),
       queue_(queue_capacity),
       recycle_(queue_capacity),
-      base_packet_cost_(base_packet_cost) {}
+      sink_(sink) {}
 
 void ShardWorker::run(const std::atomic<bool>& stop) {
   crypto::engine::publish_metrics();
@@ -57,8 +60,8 @@ void ShardWorker::run(const std::atomic<bool>& stop) {
     idle.wait();
   }
   // Defined drain order, step 2 (after the ring is dry): flush the
-  // batcher's deferred evidence on this thread, so when streaming into a
-  // sink the final batch reaches the appraiser before finish().
+  // batcher's deferred evidence on this thread, so the final batch
+  // reaches the appraiser before finish().
   prof::enter(prof::Stage::kShardWork);
   drain_deferred();
 }
@@ -80,12 +83,9 @@ void ShardWorker::sync_epoch() {
 }
 
 void ShardWorker::emit(EvidenceItem&& item) {
-  if (sink_ != nullptr) {
-    obs::profiler::ScopedStage transit(obs::profiler::Stage::kRingTransit);
-    (void)sink_->accept(id_, std::move(item));
-    return;
-  }
-  evidence_.push_back(std::move(item));
+  const obs::profiler::ScopedStage transit(
+      obs::profiler::Stage::kRingTransit);
+  (void)sink_.accept(id_, std::move(item));
 }
 
 void ShardWorker::process(PacketJob job) {
@@ -100,7 +100,7 @@ void ShardWorker::process(PacketJob job) {
 
   // Simulated-time accounting: the shard is a serial pipe; a packet
   // starts when both it and the pipe are ready.
-  const netsim::SimTime cost = base_packet_cost_ + res.ra_latency;
+  const netsim::SimTime cost = kBasePacketCost + res.ra_latency;
   const netsim::SimTime start = std::max(clock_, job.arrival);
   clock_ = start + cost;
   report_.busy += cost;

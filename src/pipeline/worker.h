@@ -14,13 +14,13 @@
 // the shards model the parallel pipes of one PERA element, so unsigned
 // evidence content is bit-identical no matter which shard produced it.
 //
-// Evidence leaves a shard one of two ways: buffered locally in
-// `evidence_` (post-run collection), or streamed into an EvidenceSink
-// (the parallel appraiser) the moment it is produced. The end-of-stream
-// drain order is fixed: a worker first empties its ingress ring, then
-// flushes its batcher's deferred evidence — both *on the worker thread*,
-// before run() returns — so every record reaches the sink before the
-// appraiser side is allowed to finish (see PeraPipeline::stop()).
+// Evidence leaves a shard one way: streamed into the EvidenceSink (the
+// parallel appraiser) the worker was built with, the moment it is
+// produced. The end-of-stream drain order is fixed: a worker first
+// empties its ingress ring, then flushes its batcher's deferred evidence
+// — both *on the worker thread*, before run() returns — so every record
+// reaches the sink before the appraiser side is allowed to finish (see
+// PeraPipeline::stop()).
 #pragma once
 
 #include <atomic>
@@ -82,20 +82,18 @@ struct ShardReport {
 
 class ShardWorker {
  public:
+  /// Every evidence record this worker produces goes to `sink`, which
+  /// must outlive the worker.
   ShardWorker(std::uint32_t id, std::string place, const ProgramFactory& factory,
               const crypto::Digest& device_key, const EpochBlock& epochs,
-              pera::PeraConfig config, std::size_t queue_capacity,
-              netsim::SimTime base_packet_cost,
+              EvidenceSink& sink, pera::PeraConfig config,
+              std::size_t queue_capacity,
               crypto::SignatureScheme scheme =
                   crypto::SignatureScheme::kHmacDeviceKey,
               unsigned xmss_height = 8);
 
   [[nodiscard]] SpscQueue<PacketJob>& queue() { return queue_; }
   [[nodiscard]] std::uint32_t id() const { return id_; }
-
-  /// Stream evidence into `sink` instead of buffering it locally. Set
-  /// before start(); the sink must outlive the run.
-  void set_sink(EvidenceSink* sink) { sink_ = sink; }
 
   /// Pin the worker thread to `cpu` when it starts (affinity.h).
   void set_pin_cpu(int cpu) { pin_cpu_ = cpu; }
@@ -119,9 +117,6 @@ class ShardWorker {
   void drain_deferred();
 
   // --- post-run results (owner thread only, after join) -------------------
-  [[nodiscard]] const std::vector<EvidenceItem>& evidence() const {
-    return evidence_;
-  }
   [[nodiscard]] const std::vector<netsim::SimTime>& latencies() const {
     return latencies_;
   }
@@ -140,8 +135,7 @@ class ShardWorker {
   const EpochBlock* epochs_;
   SpscQueue<PacketJob> queue_;
   SpscQueue<crypto::Bytes> recycle_;
-  netsim::SimTime base_packet_cost_;
-  EvidenceSink* sink_ = nullptr;
+  EvidenceSink& sink_;
   int pin_cpu_ = -1;
 
   std::uint64_t synced_version_ = 0;
@@ -149,7 +143,6 @@ class ShardWorker {
   netsim::SimTime clock_ = 0;  // shard-local simulated clock
 
   ShardReport report_;
-  std::vector<EvidenceItem> evidence_;
   std::vector<netsim::SimTime> latencies_;
   std::deque<std::pair<std::uint64_t, std::uint64_t>> deferred_;  // flow,seq
 };

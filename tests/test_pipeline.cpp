@@ -4,14 +4,17 @@
 // (the threaded tests are the TSan targets wired into scripts/check.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <map>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <string_view>
 #include <thread>
 
 #include "obs/profiler.h"
 #include "pipeline/pipeline.h"
-#include "pipeline/reassembler.h"
 
 namespace pera::pipeline {
 namespace {
@@ -54,24 +57,67 @@ std::vector<dataplane::RawPacket> make_stream(std::size_t packets,
   return out;
 }
 
-/// Run a full pipeline pass over `stream` and return the appraiser summary.
-struct RunResult {
-  crypto::Digest summary;
-  std::map<std::uint64_t, FlowVerdict> verdicts;
-  PipelineReport report;
-  std::vector<EvidenceItem> evidence;
+// Golden appraisal summaries (hex), pinned from a single-threaded
+// reference run that first collected every shard's evidence and then
+// appraised it flow by flow, at 1, 2, 4 and 8 shards (all equal). Every
+// shard x appraiser x mode run below must reproduce them bit for bit.
+// Named by make_stream(packets, flows) and composition mode, over an
+// out-of-band make_policy_header() and the default PeraConfig unless
+// noted.
+//
+// make_stream(64, 8), chained: out-of-band, in-band, and out-of-band
+// with oob_batch_size 32 all fold the same signed content.
+constexpr std::string_view kGolden64x8Chained =
+    "2b0e127836de5f30ccb8c00606f849c26ae7012513745b7ca94be36806b8e8d2";
+constexpr std::string_view kGolden96x12Chained =
+    "79edcaaa828537a8aa1d6e38777e7364715f28fb59c2ded4f33a0c6afe35fcb0";
+constexpr std::string_view kGolden32x4Chained =
+    "076139131c3ba9b3937067f55863ac76e00475295a9e134500052e88ce504154";
+constexpr std::string_view kGolden32x4Pointwise =
+    "4fc6d20e988b2fdc613c1508dbf66e8535356f69b1306fde3755b3e96876b9c2";
+constexpr std::string_view kGolden48x6Pointwise =
+    "1d144dd6aa96df4f9fc90a55b66758ce5bd3abaa4fcf57cd93dcba0ff90aa79b";
+constexpr std::string_view kGolden256x32Chained =
+    "7b6379a22c86bf8149675d31ef82fd7514187c4f01137829a77053ee86951820";
+constexpr std::string_view kGolden64x16Chained =
+    "e7d1c27acdef52b145bc94bdc10d13559feac719782b90bbd630f81dac6f7397";
+// make_stream(24, 4), chained: HMAC and XMSS signatures alike.
+constexpr std::string_view kGolden24x4Chained =
+    "bb6dc4e19f80ec5bc9ff8ce2d364cff3a6ce71c3990a3d3ee40e03b2f1eb954b";
+// make_stream(n, min(n, 4)), chained, for n = 1, 2, 7, 13: unbatched and
+// oob_batch_size 7 alike.
+const std::map<std::size_t, std::string_view> kGoldenDrainChained = {
+    {1, "8b3fff2f30f64e751b9b5cc0e5083ea03c0fc14d47eb6a564902ec8fc3996084"},
+    {2, "a96de92b75e820054597e5ef4be477c354abd5e0850d39d052abd557fa1547ef"},
+    {7, "d496d9d8722dc90648d8e73b441db04fa80b199316bfc5ea9daad1a0fe4e87e3"},
+    {13, "177c2ab8f66aa453a8611c0751374ec996d6b33a8afe2b0b86c2e3658a5d0e5a"},
 };
 
-RunResult run_pipeline(std::size_t shards,
+/// Run a full pipeline pass over `stream` — shards stream evidence into
+/// the in-pipeline ParallelAppraiser (the threaded TSan target for
+/// appraisal) — and return its verdicts.
+struct RunResult {
+  std::string summary;  // hex
+  std::map<std::uint64_t, FlowVerdict> verdicts;
+  std::uint64_t records = 0;
+  PipelineReport report;
+};
+
+RunResult run_pipeline(std::size_t shards, std::size_t appraisers,
                        const std::vector<dataplane::RawPacket>& stream,
                        const nac::PolicyHeader& hdr,
                        ::pera::pera::PeraConfig pera_cfg = {},
                        nac::CompositionMode mode =
-                           nac::CompositionMode::kChained) {
+                           nac::CompositionMode::kChained,
+                       crypto::SignatureScheme scheme =
+                           crypto::SignatureScheme::kHmacDeviceKey) {
   PipelineOptions opt;
   opt.shards = shards;
+  opt.appraisers = appraisers;
   opt.pera = pera_cfg;
   opt.drop_on_full = false;  // lossless: determinism tests need every packet
+  opt.appraise_mode = mode;
+  opt.scheme = scheme;
   PeraPipeline pipe("sw1", router_factory(), root_key(), opt);
   pipe.start();
   for (const dataplane::RawPacket& raw : stream) {
@@ -80,15 +126,24 @@ RunResult run_pipeline(std::size_t shards,
   pipe.stop();
 
   RunResult r;
-  r.evidence = pipe.collect_evidence();
-  ShardedAppraiser appraiser(root_key(), pipe.options().shard_key_label,
-                             /*max_shards=*/8, mode);
-  appraiser.ingest(r.evidence);
-  r.verdicts = appraiser.appraise();
-  r.summary = ShardedAppraiser::summary(r.verdicts);
+  r.verdicts = pipe.appraiser()->verdicts();
+  r.summary = pipe.appraiser()->summary().hex();
+  r.records = pipe.appraiser()->records();
   r.report = pipe.report();
+  EXPECT_EQ(pipe.appraiser()->dropped(), 0u);
   return r;
 }
+
+/// Test-side EvidenceSink: keeps every item it is handed, in order.
+/// Single-threaded use only (the inline ShardWorker tests).
+class CapturingSink final : public EvidenceSink {
+ public:
+  bool accept(std::uint32_t /*producer*/, EvidenceItem&& item) override {
+    items.push_back(std::move(item));
+    return true;
+  }
+  std::vector<EvidenceItem> items;
+};
 
 // --- SPSC queue -----------------------------------------------------------------
 
@@ -216,9 +271,9 @@ TEST(EpochBlock, OpsSinceReplaysOnlyUnapplied) {
 TEST(PipelineDeterminism, OutOfBandVerdictsInvariantAcrossShardCounts) {
   const std::vector<dataplane::RawPacket> stream = make_stream(96, 12);
   const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
-  const RunResult one = run_pipeline(1, stream, hdr);
-  const RunResult two = run_pipeline(2, stream, hdr);
-  const RunResult four = run_pipeline(4, stream, hdr);
+  const RunResult one = run_pipeline(1, 1, stream, hdr);
+  const RunResult two = run_pipeline(2, 1, stream, hdr);
+  const RunResult four = run_pipeline(4, 1, stream, hdr);
 
   EXPECT_EQ(one.verdicts.size(), 12u);
   for (const auto& [flow, v] : one.verdicts) {
@@ -226,8 +281,9 @@ TEST(PipelineDeterminism, OutOfBandVerdictsInvariantAcrossShardCounts) {
     EXPECT_EQ(v.signature_failures, 0u);
   }
   // Bit-identical per-flow transcripts, summarized in one digest.
-  EXPECT_EQ(one.summary, two.summary);
-  EXPECT_EQ(one.summary, four.summary);
+  EXPECT_EQ(one.summary, kGolden96x12Chained);
+  EXPECT_EQ(two.summary, kGolden96x12Chained);
+  EXPECT_EQ(four.summary, kGolden96x12Chained);
   EXPECT_EQ(one.report.processed(), 96u);
   EXPECT_EQ(four.report.processed(), 96u);
 }
@@ -235,10 +291,11 @@ TEST(PipelineDeterminism, OutOfBandVerdictsInvariantAcrossShardCounts) {
 TEST(PipelineDeterminism, InBandVerdictsInvariantAcrossShardCounts) {
   const std::vector<dataplane::RawPacket> stream = make_stream(64, 8);
   const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/false);
-  const RunResult one = run_pipeline(1, stream, hdr);
-  const RunResult four = run_pipeline(4, stream, hdr);
+  const RunResult one = run_pipeline(1, 1, stream, hdr);
+  const RunResult four = run_pipeline(4, 1, stream, hdr);
   EXPECT_EQ(one.verdicts.size(), 8u);
-  EXPECT_EQ(one.summary, four.summary);
+  EXPECT_EQ(one.summary, kGolden64x8Chained);
+  EXPECT_EQ(four.summary, kGolden64x8Chained);
   for (const auto& [flow, v] : four.verdicts) {
     EXPECT_TRUE(v.ok) << "flow " << flow;
   }
@@ -251,20 +308,24 @@ TEST(PipelineDeterminism, BatchedSigningPreservesVerdicts) {
   const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
   ::pera::pera::PeraConfig batched;
   batched.oob_batch_size = 32;
-  const RunResult plain = run_pipeline(2, stream, hdr);
-  const RunResult merkle = run_pipeline(2, stream, hdr, batched);
-  ASSERT_EQ(plain.evidence.size(), merkle.evidence.size());
-  EXPECT_EQ(plain.summary, merkle.summary);
+  const RunResult plain = run_pipeline(2, 1, stream, hdr);
+  const RunResult merkle = run_pipeline(2, 1, stream, hdr, batched);
+  ASSERT_EQ(plain.records, 64u);
+  ASSERT_EQ(merkle.records, plain.records);
+  EXPECT_EQ(plain.summary, kGolden64x8Chained);
+  EXPECT_EQ(merkle.summary, kGolden64x8Chained);
 }
 
 TEST(PipelineDeterminism, PointwiseAndChainedTranscriptsDiffer) {
   const std::vector<dataplane::RawPacket> stream = make_stream(32, 4);
   const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
-  const RunResult chained = run_pipeline(2, stream, hdr, {},
+  const RunResult chained = run_pipeline(2, 1, stream, hdr, {},
                                          nac::CompositionMode::kChained);
-  const RunResult pointwise = run_pipeline(2, stream, hdr, {},
+  const RunResult pointwise = run_pipeline(2, 1, stream, hdr, {},
                                            nac::CompositionMode::kPointwise);
   EXPECT_NE(chained.summary, pointwise.summary);
+  EXPECT_EQ(chained.summary, kGolden32x4Chained);
+  EXPECT_EQ(pointwise.summary, kGolden32x4Pointwise);
   // ...but both modes agree the evidence verifies.
   for (const auto& [flow, v] : pointwise.verdicts) {
     EXPECT_TRUE(v.ok) << "flow " << flow;
@@ -274,34 +335,71 @@ TEST(PipelineDeterminism, PointwiseAndChainedTranscriptsDiffer) {
 TEST(PipelineDeterminism, FlowsNeverSplitAcrossShards) {
   const std::vector<dataplane::RawPacket> stream = make_stream(64, 8);
   const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
-  const RunResult r = run_pipeline(4, stream, hdr);
-  std::map<std::uint64_t, std::set<std::uint32_t>> shards_by_flow;
-  for (const EvidenceItem& item : r.evidence) {
-    shards_by_flow[item.flow].insert(item.shard);
+  std::map<std::uint64_t, std::vector<dataplane::RawPacket>> by_flow;
+  for (const dataplane::RawPacket& raw : stream) {
+    by_flow[flow_hash(extract_flow_key(raw))].push_back(raw);
   }
-  for (const auto& [flow, shards] : shards_by_flow) {
-    EXPECT_EQ(shards.size(), 1u) << "flow " << flow << " split";
+  ASSERT_EQ(by_flow.size(), 8u);
+  // One flow per run: the whole flow must land on exactly one shard,
+  // the one shard_of_packet() names, and every shard must see it whole.
+  for (const auto& [flow, packets] : by_flow) {
+    PipelineOptions opt;
+    opt.shards = 4;
+    opt.drop_on_full = false;
+    PeraPipeline pipe("sw1", router_factory(), root_key(), opt);
+    const std::size_t home = pipe.shard_of_packet(packets.front());
+    pipe.start();
+    for (const dataplane::RawPacket& raw : packets) {
+      (void)pipe.submit(raw, &hdr);
+    }
+    pipe.stop();
+    const PipelineReport rep = pipe.report();
+    for (std::size_t i = 0; i < pipe.shards(); ++i) {
+      EXPECT_EQ(rep.shards[i].processed, i == home ? packets.size() : 0u)
+          << "flow " << flow << " shard " << i;
+    }
+    const auto& verdicts = pipe.appraiser()->verdicts();
+    ASSERT_EQ(verdicts.size(), 1u) << "flow " << flow;
+    EXPECT_EQ(verdicts.begin()->second.records, packets.size());
+    EXPECT_TRUE(verdicts.begin()->second.ok) << "flow " << flow;
   }
 }
 
 TEST(PipelineDeterminism, TamperedEvidenceFailsAppraisal) {
+  // Two inline shards stream into a capturing sink; one flipped signature
+  // byte must surface as exactly one signature failure.
   const std::vector<dataplane::RawPacket> stream = make_stream(8, 2);
   const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
-  PipelineOptions opt;
-  opt.shards = 2;
-  opt.drop_on_full = false;
-  PeraPipeline pipe("sw1", router_factory(), root_key(), opt);
-  pipe.start();
-  for (const dataplane::RawPacket& raw : stream) (void)pipe.submit(raw, &hdr);
-  pipe.stop();
+  const std::string label = PipelineOptions{}.shard_key_label;
+  const std::vector<crypto::Digest> keys =
+      PeraPipeline::shard_keys(root_key(), label, 2);
+  EpochBlock epochs;
+  CapturingSink sink;
+  std::vector<std::unique_ptr<ShardWorker>> workers;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    workers.push_back(std::make_unique<ShardWorker>(
+        i, "sw1", router_factory(), keys[i], epochs, sink,
+        ::pera::pera::PeraConfig{}, 16));
+  }
+  for (std::size_t seq = 0; seq < stream.size(); ++seq) {
+    const dataplane::RawPacket& raw = stream[seq];
+    workers[shard_of(raw, 2)]->process(PacketJob{
+        raw, &hdr, flow_hash(extract_flow_key(raw)), seq, 0});
+  }
+  for (auto& w : workers) w->drain_deferred();
 
-  std::vector<EvidenceItem> evidence = pipe.collect_evidence();
-  ASSERT_FALSE(evidence.empty());
-  evidence.front().evidence.back() ^= 0xff;  // flip a signature byte
+  ASSERT_EQ(sink.items.size(), stream.size());
+  sink.items.front().evidence.back() ^= 0xff;  // flip a signature byte
 
-  ShardedAppraiser appraiser(root_key(), pipe.options().shard_key_label, 8);
-  appraiser.ingest(evidence);
-  const auto verdicts = appraiser.appraise();
+  ParallelAppraiser appraiser(root_key(), label, 8);
+  appraiser.start(workers.size());
+  for (EvidenceItem& item : sink.items) {
+    const std::uint32_t producer = item.shard;
+    ASSERT_TRUE(appraiser.accept(producer, std::move(item)));
+  }
+  appraiser.finish();
+  const auto& verdicts = appraiser.verdicts();
+  EXPECT_EQ(verdicts.size(), 2u);
   std::size_t failures = 0;
   for (const auto& [flow, v] : verdicts) failures += v.signature_failures;
   EXPECT_EQ(failures, 1u);
@@ -354,8 +452,9 @@ TEST(PipelineBackpressure, LosslessModeDeliversEverything) {
 TEST(PipelineEpoch, ControlOpsInvalidateShardCaches) {
   // Inline (no threads): one worker, deterministic interleaving.
   EpochBlock epochs;
-  ShardWorker worker(0, "sw1", router_factory(),
-                     crypto::sha256("k0"), epochs, {}, 16, 100);
+  CapturingSink sink;
+  ShardWorker worker(0, "sw1", router_factory(), crypto::sha256("k0"),
+                     epochs, sink, {}, 16);
   const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
   const dataplane::RawPacket pkt = make_tcp_packet({});
   const std::uint64_t flow = flow_hash(extract_flow_key(pkt));
@@ -374,6 +473,7 @@ TEST(PipelineEpoch, ControlOpsInvalidateShardCaches) {
   EXPECT_EQ(rep.epoch_syncs, 1u);
   EXPECT_EQ(rep.cache.invalidations, 1u);  // program epoch moved
   EXPECT_EQ(rep.processed, 3u);
+  EXPECT_EQ(sink.items.size(), 3u);  // one out-of-band record per packet
 }
 
 TEST(PipelineEpoch, ConcurrentControlOpsConvergeAcrossShards) {
@@ -383,6 +483,7 @@ TEST(PipelineEpoch, ConcurrentControlOpsConvergeAcrossShards) {
   // on the program digest.
   PipelineOptions opt;
   opt.shards = 4;
+  opt.appraisers = 2;
   opt.drop_on_full = false;
   PeraPipeline pipe("sw1", router_factory(), root_key(), opt);
   pipe.start();
@@ -423,66 +524,26 @@ TEST(PipelineEpoch, ConcurrentControlOpsConvergeAcrossShards) {
   EXPECT_EQ(program_digests.size(), 1u);  // all shards converged
 
   // Evidence from a stream crossing epochs still verifies shard-by-shard.
-  ShardedAppraiser appraiser(root_key(), pipe.options().shard_key_label, 8);
-  appraiser.ingest(pipe.collect_evidence());
-  for (const auto& [flow, v] : appraiser.appraise()) {
+  EXPECT_EQ(pipe.appraiser()->flows(), 32u);
+  EXPECT_EQ(pipe.appraiser()->records(), 256u + 64u);
+  for (const auto& [flow, v] : pipe.appraiser()->verdicts()) {
     EXPECT_TRUE(v.ok) << "flow " << flow;
   }
 }
 
 // --- parallel appraisal ---------------------------------------------------------
 
-/// Run the pipeline with the in-pipeline ParallelAppraiser streaming
-/// evidence concurrently (the threaded TSan target for appraisal).
-RunResult run_parallel(std::size_t shards, std::size_t appraisers,
-                       const std::vector<dataplane::RawPacket>& stream,
-                       const nac::PolicyHeader& hdr,
-                       ::pera::pera::PeraConfig pera_cfg = {},
-                       nac::CompositionMode mode =
-                           nac::CompositionMode::kChained,
-                       crypto::SignatureScheme scheme =
-                           crypto::SignatureScheme::kHmacDeviceKey) {
-  PipelineOptions opt;
-  opt.shards = shards;
-  opt.pera = pera_cfg;
-  opt.drop_on_full = false;
-  opt.appraisers = appraisers;
-  opt.appraise_mode = mode;
-  opt.scheme = scheme;
-  PeraPipeline pipe("sw1", router_factory(), root_key(), opt);
-  pipe.start();
-  for (const dataplane::RawPacket& raw : stream) {
-    (void)pipe.submit(raw, &hdr);
-  }
-  pipe.stop();
-
-  RunResult r;
-  r.verdicts = pipe.appraiser()->verdicts();
-  r.summary = pipe.appraiser()->summary();
-  r.report = pipe.report();
-  EXPECT_EQ(pipe.appraiser()->dropped(), 0u);
-  return r;
-}
-
 TEST(PipelineParallelAppraise, VerdictsBitIdenticalToSerialAcrossShardCounts) {
   // The equivalence property: the same trace pushed through 1/2/4/8
-  // shards with concurrent per-shard appraiser workers must produce
-  // verdicts bit-identical to the serial ShardedAppraiser reference —
-  // same flows, same transcripts, same summary digest.
+  // shards with concurrent per-shard appraiser workers must reproduce the
+  // golden verdicts — same flows, same transcripts, same summary digest.
   const std::vector<dataplane::RawPacket> stream = make_stream(96, 12);
   const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
-  const RunResult serial = run_pipeline(1, stream, hdr);
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    const RunResult par = run_parallel(shards, shards, stream, hdr);
-    EXPECT_EQ(par.summary, serial.summary) << shards << " shards";
-    ASSERT_EQ(par.verdicts.size(), serial.verdicts.size());
-    for (const auto& [flow, v] : serial.verdicts) {
-      const auto it = par.verdicts.find(flow);
-      ASSERT_NE(it, par.verdicts.end()) << "flow " << flow << " missing";
-      EXPECT_EQ(it->second.transcript, v.transcript) << "flow " << flow;
-      EXPECT_EQ(it->second.records, v.records);
-      EXPECT_EQ(it->second.ok, v.ok);
-    }
+    const RunResult par = run_pipeline(shards, shards, stream, hdr);
+    EXPECT_EQ(par.summary, kGolden96x12Chained) << shards << " shards";
+    EXPECT_EQ(par.verdicts.size(), 12u);
+    EXPECT_EQ(par.records, 96u);
   }
 }
 
@@ -491,22 +552,43 @@ TEST(PipelineParallelAppraise, AppraiserCountDoesNotChangeVerdicts) {
   // must not depend on it.
   const std::vector<dataplane::RawPacket> stream = make_stream(64, 16);
   const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
-  const RunResult one = run_parallel(4, 1, stream, hdr);
-  const RunResult three = run_parallel(4, 3, stream, hdr);
-  const RunResult eight = run_parallel(4, 8, stream, hdr);
-  EXPECT_EQ(one.summary, three.summary);
-  EXPECT_EQ(one.summary, eight.summary);
+  const RunResult one = run_pipeline(4, 1, stream, hdr);
+  const RunResult three = run_pipeline(4, 3, stream, hdr);
+  const RunResult eight = run_pipeline(4, 8, stream, hdr);
+  EXPECT_EQ(one.summary, kGolden64x16Chained);
+  EXPECT_EQ(three.summary, kGolden64x16Chained);
+  EXPECT_EQ(eight.summary, kGolden64x16Chained);
   EXPECT_EQ(one.verdicts.size(), 16u);
+}
+
+TEST(PipelineParallelAppraise, ZeroAppraisersClampsToOne) {
+  // appraisers = 0 selects no separate path: it means one worker, which
+  // still yields the golden verdicts.
+  PipelineOptions opt;
+  opt.shards = 2;
+  opt.appraisers = 0;
+  opt.drop_on_full = false;
+  PeraPipeline pipe("sw1", router_factory(), root_key(), opt);
+  EXPECT_EQ(pipe.appraiser()->workers(), 1u);
+  const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
+  pipe.start();
+  for (const dataplane::RawPacket& raw : make_stream(64, 16)) {
+    (void)pipe.submit(raw, &hdr);
+  }
+  pipe.stop();
+  EXPECT_EQ(pipe.appraiser()->flows(), 16u);
+  EXPECT_EQ(pipe.appraiser()->records(), 64u);
+  EXPECT_EQ(pipe.appraiser()->summary().hex(), kGolden64x16Chained);
 }
 
 TEST(PipelineParallelAppraise, PointwiseModeMatchesSerialToo) {
   const std::vector<dataplane::RawPacket> stream = make_stream(48, 6);
   const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
-  const RunResult serial =
-      run_pipeline(2, stream, hdr, {}, nac::CompositionMode::kPointwise);
-  const RunResult par = run_parallel(4, 2, stream, hdr, {},
-                                     nac::CompositionMode::kPointwise);
-  EXPECT_EQ(par.summary, serial.summary);
+  for (const std::size_t appraisers : {1u, 2u}) {
+    const RunResult par = run_pipeline(4, appraisers, stream, hdr, {},
+                                       nac::CompositionMode::kPointwise);
+    EXPECT_EQ(par.summary, kGolden48x6Pointwise) << appraisers;
+  }
 }
 
 TEST(PipelineParallelAppraise, XmssSchemeVerifiesThroughMultiLaneEngine) {
@@ -516,22 +598,23 @@ TEST(PipelineParallelAppraise, XmssSchemeVerifiesThroughMultiLaneEngine) {
   const std::vector<dataplane::RawPacket> stream = make_stream(24, 4);
   const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
   const RunResult two =
-      run_parallel(2, 2, stream, hdr, {}, nac::CompositionMode::kChained,
+      run_pipeline(2, 2, stream, hdr, {}, nac::CompositionMode::kChained,
                    crypto::SignatureScheme::kXmss);
   const RunResult four =
-      run_parallel(4, 4, stream, hdr, {}, nac::CompositionMode::kChained,
+      run_pipeline(4, 4, stream, hdr, {}, nac::CompositionMode::kChained,
                    crypto::SignatureScheme::kXmss);
   EXPECT_EQ(two.verdicts.size(), 4u);
   for (const auto& [flow, v] : two.verdicts) {
     EXPECT_TRUE(v.ok) << "flow " << flow;
     EXPECT_EQ(v.signature_failures, 0u);
   }
-  EXPECT_EQ(two.summary, four.summary);
+  EXPECT_EQ(two.summary, kGolden24x4Chained);
+  EXPECT_EQ(four.summary, kGolden24x4Chained);
 
   // The HMAC run folds the same signed content, so transcripts (which
   // cover content + outcome, not signature bytes) must match it as well.
-  const RunResult hmac = run_parallel(2, 2, stream, hdr);
-  EXPECT_EQ(two.summary, hmac.summary);
+  const RunResult hmac = run_pipeline(2, 2, stream, hdr);
+  EXPECT_EQ(hmac.summary, kGolden24x4Chained);
 }
 
 // --- end-of-stream drain order --------------------------------------------------
@@ -547,23 +630,14 @@ TEST(PipelineDrainOrder, FinalBatchVerdictsSurviveTinyStreams) {
   for (const std::size_t batch : {1u, 7u}) {
     ::pera::pera::PeraConfig cfg;
     cfg.oob_batch_size = batch;
-    for (const std::size_t packets : {1u, 2u, 7u, 13u}) {
+    for (const auto& [packets, golden] : kGoldenDrainChained) {
       const std::vector<dataplane::RawPacket> stream =
           make_stream(packets, std::min<std::size_t>(packets, 4));
-      const RunResult serial = run_pipeline(8, stream, hdr, cfg);
-      const RunResult par = run_parallel(8, 8, stream, hdr, cfg);
-      std::size_t serial_records = 0;
-      for (const auto& [flow, v] : serial.verdicts) {
-        serial_records += v.records;
-      }
-      std::size_t par_records = 0;
-      for (const auto& [flow, v] : par.verdicts) par_records += v.records;
-      EXPECT_GT(serial_records, 0u)
-          << "batch " << batch << " packets " << packets;
-      EXPECT_EQ(par_records, serial_records)
+      const RunResult par = run_pipeline(8, 8, stream, hdr, cfg);
+      EXPECT_EQ(par.records, packets)
           << "batch " << batch << " packets " << packets
           << ": final-batch evidence dropped";
-      EXPECT_EQ(par.summary, serial.summary)
+      EXPECT_EQ(par.summary, golden)
           << "batch " << batch << " packets " << packets;
     }
   }
@@ -665,8 +739,10 @@ TEST(PipelineReporting, SimThroughputScalesWithShards) {
   // dispatcher is the serial fraction, shards process in parallel.
   const std::vector<dataplane::RawPacket> stream = make_stream(256, 32);
   const nac::PolicyHeader hdr = make_policy_header(/*out_of_band=*/true);
-  const RunResult one = run_pipeline(1, stream, hdr);
-  const RunResult four = run_pipeline(4, stream, hdr);
+  const RunResult one = run_pipeline(1, 1, stream, hdr);
+  const RunResult four = run_pipeline(4, 1, stream, hdr);
+  EXPECT_EQ(one.summary, kGolden256x32Chained);
+  EXPECT_EQ(four.summary, kGolden256x32Chained);
   EXPECT_GT(one.report.sim_packets_per_sec, 0.0);
   EXPECT_GT(four.report.sim_packets_per_sec,
             2.0 * one.report.sim_packets_per_sec);
