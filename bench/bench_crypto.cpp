@@ -19,7 +19,6 @@
 //   --json=PATH    output path (default BENCH_crypto.json)
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdio>
@@ -225,8 +224,7 @@ double ops_per_sec(const std::function<void()>& fn, double ops_per_call,
     const double s = std::chrono::duration<double>(t1 - t0).count();
     rates.push_back(s > 0 ? ops / s : 0.0);
   }
-  std::sort(rates.begin(), rates.end());
-  return rates[rates.size() / 2];
+  return pera::bench::median_by(std::move(rates));
 }
 
 struct BackendRow {
@@ -354,36 +352,30 @@ BackendRow measure_legacy(const BenchConfig& cfg) {
   return row;
 }
 
-void write_json(const std::vector<BackendRow>& rows, const BenchConfig& cfg) {
-  std::FILE* f = std::fopen(cfg.json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_crypto: cannot write %s\n",
-                 cfg.json_path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"smoke\": %s,\n  \"cpu\": {\"shani\": %s, \"avx2\": "
-               "%s},\n  \"auto_backend\": \"%s\",\n  \"results\": [\n",
-               cfg.smoke ? "true" : "false",
-               engine::cpu_has_shani() ? "true" : "false",
-               engine::cpu_has_avx2() ? "true" : "false",
-               engine::active().name);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const BackendRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"backend\": \"%s\", \"sha256_single_hps\": %.0f, "
-                 "\"sha256_multi8_hps\": %.0f, \"wots_sign_ops\": %.1f, "
-                 "\"wots_verify_ops\": %.1f, \"wots_signverify_ops\": %.1f, "
-                 "\"derive_keys_67_ops\": %.1f}%s\n",
-                 r.backend.c_str(), r.sha256_single_hps, r.sha256_multi8_hps,
-                 r.wots_sign_ops, r.wots_verify_ops, r.wots_signverify_ops,
-                 r.derive67_ops, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+std::string record_json(const std::vector<BackendRow>& rows,
+                        const BenchConfig& cfg) {
+  pera::bench::Json j;
+  j.boolean("smoke", cfg.smoke)
+      .begin_object("cpu")
+      .boolean("shani", engine::cpu_has_shani())
+      .boolean("avx2", engine::cpu_has_avx2())
+      .end()
+      .string("auto_backend", engine::active().name)
+      .objects("results", rows, [](pera::bench::Json& o, const BackendRow& r) {
+        o.string("backend", r.backend)
+            .fixed("sha256_single_hps", r.sha256_single_hps, 0)
+            .fixed("sha256_multi8_hps", r.sha256_multi8_hps, 0)
+            .fixed("wots_sign_ops", r.wots_sign_ops, 1)
+            .fixed("wots_verify_ops", r.wots_verify_ops, 1)
+            .fixed("wots_signverify_ops", r.wots_signverify_ops, 1)
+            .fixed("derive_keys_67_ops", r.derive67_ops, 1);
+      });
+  return j.str();
 }
 
-int run_suite(const BenchConfig& cfg) {
+/// Measure every backend and write the record; false when it cannot be
+/// written.
+bool run_suite(const BenchConfig& cfg) {
   // Resolve the auto choice once (for the JSON header) before the per-
   // backend select() calls overwrite it.
   const std::string auto_name = engine::active().name;
@@ -413,9 +405,7 @@ int run_suite(const BenchConfig& cfg) {
   }
   engine::select(auto_name);
 
-  write_json(rows, cfg);
-  std::printf("wrote %s\n", cfg.json_path.c_str());
-  return 0;
+  return pera::bench::write_file(cfg.json_path, record_json(rows, cfg));
 }
 
 // Google-Benchmark view of the headline number, so the binary composes
@@ -436,22 +426,13 @@ BENCHMARK(BM_WotsSignVerify);
 }  // namespace
 
 int main(int argc, char** argv) {
+  pera::bench::Args args(argc, argv);
   BenchConfig cfg;
-  int out_argc = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      cfg.smoke = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cfg.json_path = arg.substr(7);
-    } else {
-      argv[out_argc++] = argv[i];
-    }
-  }
-  argc = out_argc;
+  cfg.smoke = args.flag("--smoke");
+  cfg.json_path = args.str("--json", cfg.json_path);
 
-  const int rc = run_suite(cfg);
-  if (rc != 0) return rc;
-  if (cfg.smoke) return 0;  // suite only; skip the Google Benchmark pass
-  return ::pera::obs_bench::run(argc, argv);
+  if (!run_suite(cfg)) return 1;
+  // --smoke runs the suite only and skips the Google Benchmark pass.
+  if (cfg.smoke) return args.write_metrics() ? 0 : 1;
+  return ::pera::obs_bench::run(args);
 }

@@ -17,12 +17,10 @@
 // cadence: detection latency degrades with the full-detail sampling rate
 // while message overhead barely moves.
 //
-// Flags: --smoke (one tiny cell), --seeds=N, --json=PATH,
-//        --metrics-json=PATH (obs dump; "-" = stdout). Unknown flags are
-//        ignored. Results land in BENCH_ctrl.json (committed).
+// Flags: --smoke (one tiny cell), --seeds=N, --json=PATH, plus the
+//        harness flags (harness.h). Unknown flags are ignored. Results
+//        land in BENCH_ctrl.json (committed).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,7 +28,7 @@
 #include "adversary/attacks.h"
 #include "core/deployment.h"
 #include "ctrl/controller.h"
-#include "metrics_export.h"
+#include "harness.h"
 #include "netsim/topology.h"
 
 namespace {
@@ -164,41 +162,29 @@ void print_cell(const char* tag, const Cell& c) {
       c.ctl_kbytes_per_s, c.timeout_rate);
 }
 
-void write_cells(std::FILE* f, const std::vector<Cell>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"interval_ms\": %lld, \"loss\": %.2f, \"sampling_log2\": %d, "
-        "\"seeds\": %zu, \"detected\": %zu, \"detect_ms_mean\": %.1f, "
-        "\"detect_ms_min\": %.1f, \"detect_ms_max\": %.1f, "
-        "\"ctl_msgs_per_s\": %.1f, \"ctl_kbytes_per_s\": %.1f, "
-        "\"rounds_per_s\": %.1f, \"timeout_rate\": %.4f}%s\n",
-        static_cast<long long>(c.interval_ms), c.loss, c.sampling_log2,
-        c.seeds, c.detected, c.detect_ms_mean, c.detect_ms_min,
-        c.detect_ms_max, c.ctl_msgs_per_s, c.ctl_kbytes_per_s, c.rounds_per_s,
-        c.timeout_rate, i + 1 < cells.size() ? "," : "");
-  }
+void cell_json(bench::Json& o, const Cell& c) {
+  o.integer("interval_ms", c.interval_ms)
+      .fixed("loss", c.loss, 2)
+      .integer("sampling_log2", c.sampling_log2)
+      .integer("seeds", c.seeds)
+      .integer("detected", c.detected)
+      .fixed("detect_ms_mean", c.detect_ms_mean, 1)
+      .fixed("detect_ms_min", c.detect_ms_min, 1)
+      .fixed("detect_ms_max", c.detect_ms_max, 1)
+      .fixed("ctl_msgs_per_s", c.ctl_msgs_per_s, 1)
+      .fixed("ctl_kbytes_per_s", c.ctl_kbytes_per_s, 1)
+      .fixed("rounds_per_s", c.rounds_per_s, 1)
+      .fixed("timeout_rate", c.timeout_rate, 4);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::size_t seeds = 5;
-  std::string json_path = "BENCH_ctrl.json";
-  std::string metrics_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    else if (arg.rfind("--seeds=", 0) == 0) seeds = std::strtoull(arg.c_str() + 8, nullptr, 10);
-    else if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-    else if (arg.rfind("--metrics-json=", 0) == 0) metrics_path = arg.substr(15);
-    // Unknown flags are ignored (harness-wide sweeps pass shared flags).
-  }
+  bench::Args args(argc, argv);
+  const bool smoke = args.flag("--smoke");
+  std::size_t seeds = args.size("--seeds", 5);
+  const std::string json_path = args.str("--json", "BENCH_ctrl.json");
   if (seeds == 0) seeds = 1;
-
-  ::pera::obs_bench::enable_metrics(metrics_path);
 
   std::vector<Cell> cells;
   std::vector<Cell> sampling_cells;
@@ -218,40 +204,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_ctrl: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"scenario\": \"core2 program swap on isp() at %lld ms\","
-               "\n  \"seeds\": %zu,\n  \"cells\": [\n",
-               static_cast<long long>(kSwapAt / netsim::kMillisecond), seeds);
-  write_cells(f, cells);
-  std::fprintf(f, "  ],\n  \"sampling_cells\": [\n");
-  write_cells(f, sampling_cells);
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
-
-  if (!::pera::obs_bench::write_metrics_json(metrics_path)) {
-    return 1;
-  }
-
   // Acceptance gate: within every loss rate, mean detection latency must
   // rise with the interval (monotone in re-attestation frequency).
-  bool monotone = true;
+  bench::Gates gates("bench_ctrl");
   if (!smoke) {
     for (const double loss : {0.0, 0.02, 0.05}) {
       double prev = -1.0;
+      bool monotone = true;
       for (const Cell& c : cells) {
         if (c.loss != loss || c.detected == 0) continue;
         if (prev >= 0 && c.detect_ms_mean < prev) monotone = false;
         prev = c.detect_ms_mean;
       }
+      gates.check(monotone, "monotone",
+                  "detection latency not monotone in interval at loss=%.2f",
+                  loss);
     }
-    std::printf("detection latency monotone in interval: %s\n",
-                monotone ? "yes" : "NO");
   }
-  return monotone ? 0 : 1;
+
+  bench::Json j;
+  j.string("scenario", "core2 program swap on isp() at " +
+                           std::to_string(kSwapAt / netsim::kMillisecond) +
+                           " ms")
+      .integer("seeds", seeds)
+      .objects("cells", cells, cell_json)
+      .objects("sampling_cells", sampling_cells, cell_json);
+  return bench::finish(args, json_path, j.str(), gates);
 }

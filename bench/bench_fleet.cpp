@@ -21,12 +21,10 @@
 //   G3  the hierarchy's recovered verdicts match flat per-switch central
 //       appraisal bit-for-bit on the parity cell
 //
-// Flags: --smoke (one small cell + gates G2/G3), --json=PATH,
-// --metrics-json=PATH (obs dump; "-" = stdout). Unknown flags are
-// ignored. Results land in BENCH_fleet.json (committed).
+// Flags: --smoke (one small cell + gates G2/G3), --json=PATH, plus the
+// harness flags (harness.h). Unknown flags are ignored. Results land in
+// BENCH_fleet.json (committed).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
@@ -37,7 +35,7 @@
 #include "core/deployment.h"
 #include "dataplane/builder.h"
 #include "fleet/controller.h"
-#include "metrics_export.h"
+#include "harness.h"
 #include "netsim/topology.h"
 
 namespace {
@@ -167,63 +165,45 @@ void print_cell(const Cell& c) {
   std::printf(
       "n=%6zu fanout=%3zu loss=%.2f  detect=%8.1f ms  "
       "msgs/sw/wave=%6.2f  load root=%zu regional=%zu  "
-      "agg=%llu/%llu valid/invalid%s\n",
+      "agg=%llu/%llu valid/invalid\n",
       c.switches, c.fanout, c.loss, c.r.detect_ms,
       c.r.msgs_per_switch_per_wave, c.r.peak_root_load,
       c.r.peak_regional_load,
       static_cast<unsigned long long>(c.r.aggregates_valid),
-      static_cast<unsigned long long>(c.r.aggregates_invalid),
-      c.r.load_ok ? "" : "  LOAD-BOUND VIOLATED");
+      static_cast<unsigned long long>(c.r.aggregates_invalid));
 }
 
-void write_cells(std::FILE* f, const std::vector<Cell>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"switches\": %zu, \"fanout\": %zu, \"loss\": %.2f, "
-        "\"detected\": %s, \"detect_ms\": %.1f, "
-        "\"msgs_per_switch_per_wave\": %.2f, \"peak_root_load\": %zu, "
-        "\"peak_regional_load\": %zu, \"waves\": %llu, "
-        "\"aggregates_valid\": %llu, \"aggregates_invalid\": %llu, "
-        "\"load_ok\": %s}%s\n",
-        c.switches, c.fanout, c.loss, c.r.detected ? "true" : "false",
-        c.r.detect_ms, c.r.msgs_per_switch_per_wave, c.r.peak_root_load,
-        c.r.peak_regional_load, static_cast<unsigned long long>(c.r.waves),
-        static_cast<unsigned long long>(c.r.aggregates_valid),
-        static_cast<unsigned long long>(c.r.aggregates_invalid),
-        c.r.load_ok ? "true" : "false", i + 1 < cells.size() ? "," : "");
-  }
+void cell_json(bench::Json& o, const Cell& c) {
+  o.integer("switches", c.switches)
+      .integer("fanout", c.fanout)
+      .fixed("loss", c.loss, 2)
+      .boolean("detected", c.r.detected)
+      .fixed("detect_ms", c.r.detect_ms, 1)
+      .fixed("msgs_per_switch_per_wave", c.r.msgs_per_switch_per_wave, 2)
+      .integer("peak_root_load", c.r.peak_root_load)
+      .integer("peak_regional_load", c.r.peak_regional_load)
+      .integer("waves", c.r.waves)
+      .integer("aggregates_valid", c.r.aggregates_valid)
+      .integer("aggregates_invalid", c.r.aggregates_invalid)
+      .boolean("load_ok", c.r.load_ok);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_fleet.json";
-  std::string metrics_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    else if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-    else if (arg.rfind("--metrics-json=", 0) == 0) metrics_path = arg.substr(15);
-    // Unknown flags are ignored (harness-wide sweeps pass shared flags).
-  }
-  ::pera::obs_bench::enable_metrics(metrics_path);
+  bench::Args args(argc, argv);
+  const bool smoke = args.flag("--smoke");
+  const std::string json_path = args.str("--json", "BENCH_fleet.json");
 
   const std::uint64_t seed = 1000;
   std::vector<Cell> cells;
-  bool gates_ok = true;
-  std::string gate_report;
+  bench::Gates gates("bench_fleet");
 
   if (smoke) {
     Cell c{100, 16, 0.01, run_once(100, 16, 0.01, seed, /*parity=*/true)};
     print_cell(c);
     cells.push_back(c);
-    if (!c.r.detected) {
-      gates_ok = false;
-      gate_report += "FAIL smoke: victim not detected\n";
-    }
+    gates.check(c.r.detected, "detection", "victim not detected");
   } else {
     for (const double loss : {0.0, 0.01}) {
       for (const std::size_t n : {std::size_t{100}, std::size_t{1000},
@@ -243,63 +223,29 @@ int main(int argc, char** argv) {
         if (c.switches == 100) small = &c;
         if (c.switches == 10000) large = &c;
       }
-      if (small == nullptr || large == nullptr || !small->r.detected ||
-          !large->r.detected) {
-        gates_ok = false;
-        gate_report += "FAIL G1: missing detection at loss=" +
-                       std::to_string(loss) + "\n";
+      if (!gates.check(small != nullptr && large != nullptr &&
+                           small->r.detected && large->r.detected,
+                       "scale", "missing detection at loss=%.2f", loss)) {
         continue;
       }
-      if (large->r.detect_ms > 2.0 * small->r.detect_ms) {
-        gates_ok = false;
-        char buf[160];
-        std::snprintf(buf, sizeof buf,
-                      "FAIL G1: 10k detect %.1f ms > 2x 100-switch %.1f ms "
-                      "(loss=%.2f)\n",
-                      large->r.detect_ms, small->r.detect_ms, loss);
-        gate_report += buf;
-      }
+      gates.check(large->r.detect_ms <= 2.0 * small->r.detect_ms, "scale",
+                  "10k detect %.1f ms > 2x 100-switch %.1f ms (loss=%.2f)",
+                  large->r.detect_ms, small->r.detect_ms, loss);
     }
   }
   for (const Cell& c : cells) {
-    if (!c.r.load_ok) {
-      gates_ok = false;
-      gate_report += "FAIL G2: appraiser load exceeded fanout at n=" +
-                     std::to_string(c.switches) + "\n";
-    }
-    if (!c.r.parity_ok) {
-      gates_ok = false;
-      gate_report += "FAIL G3: verdict parity broken at n=" +
-                     std::to_string(c.switches) + "\n";
-    }
+    gates.check(c.r.load_ok, "load", "appraiser load exceeded fanout at n=%zu",
+                c.switches);
+    gates.check(c.r.parity_ok, "parity", "verdict parity broken at n=%zu",
+                c.switches);
   }
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_fleet: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"scenario\": \"victim program swap at %lld ms, "
-               "hierarchical appraisal on topo::fleet\",\n"
-               "  \"wave_interval_ms\": 100,\n  \"gates\": \"%s\",\n"
-               "  \"cells\": [\n",
-               static_cast<long long>(kSwapAt / netsim::kMillisecond),
-               gates_ok ? "pass" : "FAIL");
-  write_cells(f, cells);
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
-
-  if (!::pera::obs_bench::write_metrics_json(metrics_path)) {
-    return 1;
-  }
-
-  if (!gates_ok) {
-    std::fprintf(stderr, "%s", gate_report.c_str());
-    std::printf("GATES FAILED\n");
-    return 1;
-  }
-  std::printf("all gates passed\n");
-  return 0;
+  bench::Json j;
+  j.string("scenario", "victim program swap at " +
+                           std::to_string(kSwapAt / netsim::kMillisecond) +
+                           " ms, hierarchical appraisal on topo::fleet")
+      .integer("wave_interval_ms", 100)
+      .string("gates", gates.ok() ? "pass" : "FAIL")
+      .objects("cells", cells, cell_json);
+  return bench::finish(args, json_path, j.str(), gates);
 }

@@ -20,19 +20,17 @@
 // index against the reference linear scan (n <= 10k; the scan at 1M
 // would dominate the bench runtime for no extra information).
 //
-// Flags: --smoke (tiny sizes), --rounds=N, --json=PATH,
-//        --metrics-json=PATH (obs dump; "-" = stdout). Unknown flags are
-//        ignored. Results land in BENCH_state.json (committed).
+// Flags: --smoke (tiny sizes), --rounds=N, --json=PATH, plus the
+//        harness flags (harness.h). Unknown flags are ignored. Results
+//        land in BENCH_state.json (committed).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "dataplane/nf.h"
-#include "metrics_export.h"
+#include "harness.h"
 
 namespace {
 
@@ -194,24 +192,42 @@ void print_cell(const Cell& c) {
       c.root_match ? "match" : "MISMATCH");
 }
 
+std::string record_json(const std::vector<Cell>& cells,
+                        const std::vector<LookupCell>& lookup_cells,
+                        std::size_t rounds) {
+  bench::Json j;
+  j.string("scenario",
+           "StatefulNat churn: evidence cost, incremental vs full recompute")
+      .integer("rounds", rounds)
+      .objects("cells", cells, [](bench::Json& o, const Cell& c) {
+        o.integer("n", c.n)
+            .fixed("churn", c.churn, 3)
+            .integer("dirty_per_round", c.dirty_per_round)
+            .integer("rounds", c.rounds)
+            .fixed("incr_ns", c.incr_ns, 0)
+            .fixed("full_ns", c.full_ns, 0)
+            .fixed("speedup", c.speedup, 2)
+            .boolean("root_match", c.root_match);
+      })
+      .objects("lookup_cells", lookup_cells,
+               [](bench::Json& o, const LookupCell& lc) {
+                 o.integer("n", lc.n)
+                     .integer("probes", lc.probes)
+                     .fixed("indexed_ns", lc.indexed_ns, 1)
+                     .fixed("scan_ns", lc.scan_ns, 1)
+                     .boolean("lookup_match", lc.match);
+               });
+  return j.str();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::size_t rounds = 3;
-  std::string json_path = "BENCH_state.json";
-  std::string metrics_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    else if (arg.rfind("--rounds=", 0) == 0) rounds = std::strtoull(arg.c_str() + 9, nullptr, 10);
-    else if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-    else if (arg.rfind("--metrics-json=", 0) == 0) metrics_path = arg.substr(15);
-    // Unknown flags are ignored (harness-wide sweeps pass shared flags).
-  }
+  bench::Args args(argc, argv);
+  const bool smoke = args.flag("--smoke");
+  std::size_t rounds = args.size("--rounds", 3);
+  const std::string json_path = args.str("--json", "BENCH_state.json");
   if (rounds == 0) rounds = 1;
-
-  ::pera::obs_bench::enable_metrics(metrics_path);
 
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{1000, 4000}
@@ -240,69 +256,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_state: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"scenario\": \"StatefulNat churn: evidence cost, "
-               "incremental vs full recompute\",\n  \"rounds\": %zu,\n"
-               "  \"cells\": [\n",
-               rounds);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"n\": %zu, \"churn\": %.3f, \"dirty_per_round\": %zu, "
-        "\"rounds\": %zu, \"incr_ns\": %.0f, \"full_ns\": %.0f, "
-        "\"speedup\": %.2f, \"root_match\": %s}%s\n",
-        c.n, c.churn, c.dirty_per_round, c.rounds, c.incr_ns, c.full_ns,
-        c.speedup, c.root_match ? "true" : "false",
-        i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"lookup_cells\": [\n");
-  for (std::size_t i = 0; i < lookup_cells.size(); ++i) {
-    const LookupCell& lc = lookup_cells[i];
-    std::fprintf(f,
-                 "    {\"n\": %zu, \"probes\": %zu, \"indexed_ns\": %.1f, "
-                 "\"scan_ns\": %.1f, \"lookup_match\": %s}%s\n",
-                 lc.n, lc.probes, lc.indexed_ns, lc.scan_ns,
-                 lc.match ? "true" : "false",
-                 i + 1 < lookup_cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
-
-  if (!::pera::obs_bench::write_metrics_json(metrics_path)) {
-    return 1;
-  }
-
-  // Acceptance gates.
-  bool ok = true;
+  bench::Gates gates("bench_state");
   for (const Cell& c : cells) {
-    if (!c.root_match) {
-      std::printf("GATE: root mismatch at n=%zu churn=%.3f\n", c.n, c.churn);
-      ok = false;
-    }
+    gates.check(c.root_match, "digest-identity",
+                "root mismatch at n=%zu churn=%.3f", c.n, c.churn);
   }
   for (const LookupCell& lc : lookup_cells) {
-    if (!lc.match) {
-      std::printf("GATE: lookup differential mismatch at n=%zu\n", lc.n);
-      ok = false;
-    }
+    gates.check(lc.match, "lookup-differential",
+                "lookup differential mismatch at n=%zu", lc.n);
   }
   if (!smoke) {
     for (const Cell& c : cells) {
-      if (c.n == 1000000 && c.churn <= 0.01 && c.speedup < 10.0) {
-        std::printf(
-            "GATE: speedup %.1fx < 10x at n=%zu churn=%.3f\n",
-            c.speedup, c.n, c.churn);
-        ok = false;
-      }
+      gates.check(!(c.n == 1000000 && c.churn <= 0.01 && c.speedup < 10.0),
+                  "incremental-speedup",
+                  "speedup %.1fx < 10x at n=%zu churn=%.3f", c.speedup, c.n,
+                  c.churn);
     }
   }
-  std::printf("gates: %s\n", ok ? "pass" : "FAIL");
-  return ok ? 0 : 1;
+  return bench::finish(args, json_path,
+                       record_json(cells, lookup_cells, rounds), gates);
 }

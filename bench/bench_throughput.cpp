@@ -56,7 +56,6 @@
 
 #include "obs/profiler.h"
 #include "obs_bench_main.h"
-#include "pipeline/affinity.h"
 #include "pipeline/pipeline.h"
 
 namespace {
@@ -191,88 +190,60 @@ CellResult run_cell_repeated(std::size_t shards, bool cache, std::size_t batch,
   for (std::size_t i = 0; i < reps; ++i) {
     runs.push_back(run_cell(shards, cache, batch, stream, hdr, cfg));
   }
-  std::sort(runs.begin(), runs.end(),
-            [](const CellResult& a, const CellResult& b) {
-              return a.wall_pps < b.wall_pps;
-            });
-  return runs[runs.size() / 2];
+  return bench::median_by(std::move(runs), &CellResult::wall_pps);
 }
 
-void write_json(const std::vector<CellResult>& cells, const SweepConfig& cfg) {
-  std::FILE* f = std::fopen(cfg.json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_throughput: cannot write %s\n",
-                 cfg.json_path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"packets\": %zu,\n  \"flows\": %zu,\n"
-               "  \"warmup\": %zu,\n  \"repeat\": %zu,\n"
-               "  \"host_cores\": %u,\n"
-               "  \"sha256_backend\": \"%s\",\n"
-               "  \"scheme\": \"%s\",\n  \"cells\": [\n",
-               cfg.packets, cfg.flows, cfg.warmup, cfg.repeat,
-               pipeline::core_count(), crypto::engine::active().name,
-               cfg.scheme == crypto::SignatureScheme::kXmss ? "xmss" : "hmac");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"shards\": %zu, \"cache\": %s, \"batch\": %zu, "
-        "\"sim_packets_per_sec\": %.1f, "
-        "\"sim_latency_p50_ns\": %lld, \"sim_latency_p99_ns\": %lld, "
-        "\"sim_makespan_ns\": %lld, \"wall_packets_per_sec\": %.1f, "
-        "\"processed\": %llu, \"dropped\": %llu, "
-        "\"appraised_flows\": %zu, \"appraised_records\": %llu, "
-        "\"pool_reused\": %llu, \"pool_fresh\": %llu, "
-        "\"summary\": \"%s\"}%s\n",
-        c.shards, c.cache ? "true" : "false", c.batch,
-        c.report.sim_packets_per_sec,
-        static_cast<long long>(c.report.latency_percentile(0.50)),
-        static_cast<long long>(c.report.latency_percentile(0.99)),
-        static_cast<long long>(c.report.makespan), c.wall_pps,
-        static_cast<unsigned long long>(c.report.processed()),
-        static_cast<unsigned long long>(c.report.dropped),
-        c.appraised_flows,
-        static_cast<unsigned long long>(c.appraised_records),
-        static_cast<unsigned long long>(c.report.pool_reused),
-        static_cast<unsigned long long>(c.report.pool_fresh),
-        c.summary_hex.c_str(), i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
-void write_profile_json(const std::vector<CellResult>& cells,
+std::string record_json(const std::vector<CellResult>& cells,
                         const SweepConfig& cfg) {
-  std::FILE* f = std::fopen(cfg.profile_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_throughput: cannot write %s\n",
-                 cfg.profile_path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"cells\": [\n");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    std::fprintf(f,
-                 "    {\"shards\": %zu, \"cache\": %s, \"batch\": %zu, "
-                 "\"profile\": %s}%s\n",
-                 c.shards, c.cache ? "true" : "false", c.batch,
-                 c.profile_json.c_str(), i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  bench::Json j;
+  j.integer("packets", cfg.packets)
+      .integer("flows", cfg.flows)
+      .integer("warmup", cfg.warmup)
+      .integer("repeat", cfg.repeat)
+      .integer("host_cores", bench::host_cores())
+      .string("sha256_backend", crypto::engine::active().name)
+      .string("scheme",
+              cfg.scheme == crypto::SignatureScheme::kXmss ? "xmss" : "hmac")
+      .objects("cells", cells, [](bench::Json& o, const CellResult& c) {
+        o.integer("shards", c.shards)
+            .boolean("cache", c.cache)
+            .integer("batch", c.batch)
+            .fixed("sim_packets_per_sec", c.report.sim_packets_per_sec, 1)
+            .integer("sim_latency_p50_ns", c.report.latency_percentile(0.50))
+            .integer("sim_latency_p99_ns", c.report.latency_percentile(0.99))
+            .integer("sim_makespan_ns", c.report.makespan)
+            .fixed("wall_packets_per_sec", c.wall_pps, 1)
+            .integer("processed", c.report.processed())
+            .integer("dropped", c.report.dropped)
+            .integer("appraised_flows", c.appraised_flows)
+            .integer("appraised_records", c.appraised_records)
+            .integer("pool_reused", c.report.pool_reused)
+            .integer("pool_fresh", c.report.pool_fresh)
+            .string("summary", c.summary_hex);
+      });
+  return j.str();
 }
 
-/// The asserted gates. Returns the number of violations (0 = pass).
-int check_gates(const std::vector<CellResult>& cells, const SweepConfig& cfg) {
-  int violations = 0;
+std::string profile_json(const std::vector<CellResult>& cells) {
+  bench::Json j;
+  j.objects("cells", cells, [](bench::Json& o, const CellResult& c) {
+    o.integer("shards", c.shards)
+        .boolean("cache", c.cache)
+        .integer("batch", c.batch)
+        .raw("profile", c.profile_json);
+  });
+  return j.str();
+}
+
+/// The asserted gates, reported through `gates`.
+void check_gates(const std::vector<CellResult>& cells, const SweepConfig& cfg,
+                 bench::Gates& gates) {
   std::size_t min_shards = SIZE_MAX, max_shards = 0;
   for (const CellResult& c : cells) {
     min_shards = std::min(min_shards, c.shards);
     max_shards = std::max(max_shards, c.shards);
   }
-  if (cells.empty()) return 0;
+  if (cells.empty()) return;
 
   const auto find_cell = [&cells](std::size_t shards, bool cache,
                                   std::size_t batch) -> const CellResult* {
@@ -289,18 +260,17 @@ int check_gates(const std::vector<CellResult>& cells, const SweepConfig& cfg) {
   if (min_shards < max_shards) {
     for (const CellResult& c : cells) {
       const CellResult* base = find_cell(min_shards, c.cache, c.batch);
-      if (base == nullptr || base->summary_hex == c.summary_hex) continue;
-      std::fprintf(stderr,
-                   "GATE FAIL [bit-identity]: cache=%d batch=%zu summary "
-                   "differs between %zu and %zu shards\n",
-                   c.cache ? 1 : 0, c.batch, min_shards, c.shards);
-      ++violations;
+      gates.check(base == nullptr || base->summary_hex == c.summary_hex,
+                  "bit-identity",
+                  "cache=%d batch=%zu summary differs between %zu and %zu "
+                  "shards",
+                  c.cache ? 1 : 0, c.batch, min_shards, c.shards);
     }
   }
 
   // Scaling gates need the full span (1 shard and >= 8 shards).
   if (min_shards == 1 && max_shards >= 8) {
-    const unsigned cores = pipeline::core_count();
+    const unsigned cores = bench::host_cores();
     // Host-aware wall target: C/2 up to the asserted 3x; a 1-2 core host
     // cannot run threads in parallel, so only guard against collapse.
     const double wall_required =
@@ -315,23 +285,15 @@ int check_gates(const std::vector<CellResult>& cells, const SweepConfig& cfg) {
                 ? hi->report.sim_packets_per_sec /
                       lo->report.sim_packets_per_sec
                 : 0.0;
-        if (sim_x < 3.0) {
-          std::fprintf(stderr,
-                       "GATE FAIL [sim-scaling]: cache=%d batch=%zu "
-                       "sim %zux/%zux = %.2fx < 3.0x\n",
-                       cache ? 1 : 0, batch, max_shards, std::size_t{1},
-                       sim_x);
-          ++violations;
-        }
+        gates.check(sim_x >= 3.0, "sim-scaling",
+                    "cache=%d batch=%zu sim %zux/%zux = %.2fx < 3.0x",
+                    cache ? 1 : 0, batch, max_shards, std::size_t{1}, sim_x);
         const double wall_x =
             lo->wall_pps > 0 ? hi->wall_pps / lo->wall_pps : 0.0;
-        if (wall_x < wall_required) {
-          std::fprintf(stderr,
-                       "GATE FAIL [wall-scaling]: cache=%d batch=%zu "
-                       "wall %.2fx < %.2fx (host has %u cores)\n",
-                       cache ? 1 : 0, batch, wall_x, wall_required, cores);
-          ++violations;
-        }
+        gates.check(wall_x >= wall_required, "wall-scaling",
+                    "cache=%d batch=%zu wall %.2fx < %.2fx (host has %u "
+                    "cores)",
+                    cache ? 1 : 0, batch, wall_x, wall_required, cores);
       }
     }
   }
@@ -340,15 +302,11 @@ int check_gates(const std::vector<CellResult>& cells, const SweepConfig& cfg) {
   // window (otherwise the profiler is lying about where time goes).
   if (!cfg.profile_path.empty()) {
     for (const CellResult& c : cells) {
-      if (c.accounted_share >= 0.95) continue;
-      std::fprintf(stderr,
-                   "GATE FAIL [attribution]: shards=%zu cache=%d batch=%zu "
-                   "accounted_share %.3f < 0.95\n",
-                   c.shards, c.cache ? 1 : 0, c.batch, c.accounted_share);
-      ++violations;
+      gates.check(c.accounted_share >= 0.95, "attribution",
+                  "shards=%zu cache=%d batch=%zu accounted_share %.3f < 0.95",
+                  c.shards, c.cache ? 1 : 0, c.batch, c.accounted_share);
     }
   }
-  return violations;
 }
 
 int run_sweep(const SweepConfig& cfg) {
@@ -375,19 +333,14 @@ int run_sweep(const SweepConfig& cfg) {
       }
     }
   }
-  write_json(cells, cfg);
-  std::printf("wrote %s\n", cfg.json_path.c_str());
-  if (!cfg.profile_path.empty()) {
-    write_profile_json(cells, cfg);
-    std::printf("wrote %s\n", cfg.profile_path.c_str());
-  }
-  const int violations = check_gates(cells, cfg);
-  if (violations != 0) {
-    std::fprintf(stderr, "bench_throughput: %d gate violation(s)\n",
-                 violations);
+  if (!bench::write_file(cfg.json_path, record_json(cells, cfg)) ||
+      (!cfg.profile_path.empty() &&
+       !bench::write_file(cfg.profile_path, profile_json(cells)))) {
     return 1;
   }
-  return 0;
+  bench::Gates gates("bench_throughput");
+  check_gates(cells, cfg, gates);
+  return gates.exit_code();
 }
 
 // A Google-Benchmark view of the same cell (wall time per full stream
@@ -408,63 +361,24 @@ void BM_PipelineStream(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineStream)->Arg(1)->Arg(2)->Arg(4);
 
-std::vector<std::size_t> parse_shard_list(const char* v) {
-  std::vector<std::size_t> out;
-  const std::string s = v;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    const std::string tok =
-        s.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (const long long n = std::atoll(tok.c_str()); n > 0) {
-      out.push_back(static_cast<std::size_t>(n));
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Args args(argc, argv);
   SweepConfig cfg;
-  int out_argc = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&arg](const std::string& name) -> const char* {
-      const std::string prefix = name + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size() : nullptr;
-    };
-    if (const char* v = value_of("--shards")) {
-      if (std::vector<std::size_t> list = parse_shard_list(v); !list.empty()) {
-        cfg.shard_counts = std::move(list);
-      }
-    } else if (const char* v = value_of("--packets")) {
-      cfg.packets = static_cast<std::size_t>(std::atoll(v));
-    } else if (const char* v = value_of("--flows")) {
-      cfg.flows = static_cast<std::size_t>(std::atoll(v));
-    } else if (const char* v = value_of("--warmup")) {
-      cfg.warmup = static_cast<std::size_t>(std::atoll(v));
-    } else if (const char* v = value_of("--repeat")) {
-      cfg.repeat = static_cast<std::size_t>(std::atoll(v));
-    } else if (const char* v = value_of("--scheme")) {
-      cfg.scheme = std::string(v) == "xmss"
-                       ? crypto::SignatureScheme::kXmss
-                       : crypto::SignatureScheme::kHmacDeviceKey;
-    } else if (arg == "--pin") {
-      cfg.pin = true;
-    } else if (const char* v = value_of("--json")) {
-      cfg.json_path = v;
-    } else if (const char* v = value_of("--profile-json")) {
-      cfg.profile_path = v;
-    } else {
-      argv[out_argc++] = argv[i];
-    }
+  cfg.shard_counts = args.sizes("--shards", cfg.shard_counts);
+  cfg.packets = args.size("--packets", cfg.packets);
+  cfg.flows = args.size("--flows", cfg.flows);
+  cfg.warmup = args.size("--warmup", cfg.warmup);
+  cfg.repeat = args.size("--repeat", cfg.repeat);
+  if (args.str("--scheme", "hmac") == "xmss") {
+    cfg.scheme = crypto::SignatureScheme::kXmss;
   }
-  argc = out_argc;
+  cfg.pin = args.flag("--pin");
+  cfg.json_path = args.str("--json", cfg.json_path);
+  cfg.profile_path = args.str("--profile-json", cfg.profile_path);
 
   const int sweep_rc = run_sweep(cfg);
   if (sweep_rc != 0) return sweep_rc;
-  return ::pera::obs_bench::run(argc, argv);
+  return ::pera::obs_bench::run(args);
 }

@@ -37,15 +37,12 @@ build/fuzz/fuzz_evidence_payload -max_total_time=15 -runs=200000 \
   tests/fixtures/fuzz
 
 for b in build/bench/bench_*; do
-  # bench_throughput, bench_crypto, bench_ctrl and bench_state write their
-  # committed JSON records to the cwd; each gets a dedicated smoke below so
-  # the baselines aren't clobbered.
-  [ "$(basename "$b")" = "bench_throughput" ] && continue
-  [ "$(basename "$b")" = "bench_crypto" ] && continue
-  [ "$(basename "$b")" = "bench_ctrl" ] && continue
-  [ "$(basename "$b")" = "bench_state" ] && continue
-  [ "$(basename "$b")" = "bench_net" ] && continue
-  [ "$(basename "$b")" = "bench_fleet" ] && continue
+  # The gated benches write their committed JSON records to the cwd; each
+  # gets a dedicated smoke below so the baselines aren't clobbered.
+  case "$(basename "$b")" in
+    bench_throughput | bench_crypto | bench_ctrl | bench_state | \
+      bench_net | bench_fleet) continue ;;
+  esac
   echo "== $b (smoke) =="
   "$b" --benchmark_min_time=0.01 > /dev/null
 done
@@ -78,6 +75,32 @@ for stage in dispatch ring_transit shard_work reassembly wots_verify \
   grep -q "\"$stage\"" build/throughput.profile.json
 done
 grep -q '"accounted_share"' build/throughput.profile.json
+
+# The measured sweep itself must run with metrics on when --metrics-json
+# is given: with no Google Benchmark pass, the per-cell stage totals and
+# shard counters can only come from the sweep.
+echo "== sharded pipeline bench: sweep metrics =="
+build/bench/bench_throughput --shards=1 --packets=256 \
+  --json=build/BENCH_throughput.sweep.json \
+  --profile-json=build/throughput.sweep.profile.json \
+  --metrics-json=build/throughput.sweep.metrics.json \
+  --benchmark_filter='^$' > /dev/null
+grep -q '"pipeline.stage.shard_work.wall_ns"' \
+  build/throughput.sweep.metrics.json
+grep -q '"pipeline.shard.packets.0"' build/throughput.sweep.metrics.json
+
+# A bench whose record cannot be written must fail, not exit 0.
+echo "== gated benches: unwritable output exits nonzero =="
+if build/bench/bench_crypto --smoke --json=/nonexistent/x.json \
+     > /dev/null 2>&1; then
+  echo "bench_crypto exited 0 with an unwritable --json" >&2
+  exit 1
+fi
+if build/bench/bench_throughput --shards=1 --packets=64 \
+     --json=/nonexistent/x.json --benchmark_filter='^$' > /dev/null 2>&1; then
+  echo "bench_throughput exited 0 with an unwritable --json" >&2
+  exit 1
+fi
 
 echo "== control plane bench (smoke) =="
 build/bench/bench_ctrl --smoke --json=build/BENCH_ctrl.smoke.json \

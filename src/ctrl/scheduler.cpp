@@ -34,12 +34,20 @@ void ReattestScheduler::add_switch(const std::string& place) {
   PERA_OBS_GAUGE("ctrl.scheduler.tracks", static_cast<double>(tracks_.size()));
 }
 
+void ReattestScheduler::remove_switch(const std::string& place) {
+  for (const auto& t : tracks_) {
+    if (t->place == place) t->retired = true;
+  }
+}
+
 void ReattestScheduler::start(Issue issue) {
   if (running_) throw std::logic_error("ReattestScheduler: already running");
   running_ = true;
   ++generation_;
   issue_ = std::move(issue);
-  for (std::size_t i = 0; i < tracks_.size(); ++i) arm(i, /*first=*/true);
+  for (std::size_t i = 0; i < tracks_.size(); ++i) {
+    if (!tracks_[i]->retired) arm(i, /*first=*/true);
+  }
 }
 
 void ReattestScheduler::stop() {
@@ -71,8 +79,8 @@ void ReattestScheduler::arm(std::size_t track, bool first) {
   }
   const std::uint64_t gen = generation_;
   events_->schedule_in(delay, [this, track, gen] {
-    if (gen != generation_ || !running_) return;
     Track& tr = *tracks_[track];
+    if (gen != generation_ || !running_ || tr.retired) return;
     ++issued_;
     PERA_OBS_COUNT("ctrl.scheduler.rounds");
     if (issue_) issue_(tr.place, tr.level);

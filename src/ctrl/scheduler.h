@@ -50,6 +50,10 @@ class ReattestScheduler {
   /// Tracks added while running are armed immediately.
   void add_switch(const std::string& place);
 
+  /// Retire every track of `place`: its queued rounds no-op and it never
+  /// re-arms, so a retired element leaves no events behind.
+  void remove_switch(const std::string& place);
+
   /// Begin issuing rounds. Throws std::logic_error when already running.
   void start(Issue issue);
 
@@ -67,6 +71,7 @@ class ReattestScheduler {
     std::string place;
     nac::EvidenceDetail level;
     crypto::Drbg rng;
+    bool retired = false;
   };
 
   void arm(std::size_t track, bool first);

@@ -58,14 +58,13 @@ void WaveScheduler::add_region(const std::string& region) {
 }
 
 void WaveScheduler::remove_region(const std::string& region) {
-  // The inner track keeps firing; the live_ filter turns it into a no-op.
   live_.erase(region);
+  inner_.remove_switch(region);
 }
 
 void WaveScheduler::start(Fire fire) {
   fire_ = std::move(fire);
   inner_.start([this](const std::string& region, nac::EvidenceDetail) {
-    if (!live_.contains(region)) return;
     const std::uint64_t wave = ++waves_[region];
     ++total_;
     PERA_OBS_COUNT("fleet.waves.launched");

@@ -601,6 +601,24 @@ TEST(FleetWave, SchedulerStaggersRegionsAndHonorsRetirement) {
   sched.stop();
 }
 
+TEST(FleetWave, RetiredRegionLeavesNoEventsBehind) {
+  netsim::EventQueue events;
+  fleet::WaveConfig cfg;
+  cfg.interval = 10 * netsim::kMillisecond;
+  fleet::WaveScheduler sched(events, cfg, 77);
+  sched.add_region("g0");
+  std::uint64_t fired = 0;
+  sched.start([&](const std::string&, std::uint64_t) { ++fired; });
+  ASSERT_EQ(events.pending(), 1u);
+  sched.remove_region("g0");
+  // The queued wave still comes due once, but a retired track no-ops
+  // without re-arming.
+  events.run(cfg.interval);
+  EXPECT_EQ(fired, 0u);
+  EXPECT_EQ(events.pending(), 0u) << "retired track kept re-arming";
+  sched.stop();
+}
+
 // ------------------------------------------------ incremental composition --
 
 TEST(FleetMerkleIncremental, UnchangedWavesRehashNothingChangedWavesDelta) {
