@@ -24,11 +24,11 @@ const dataplane::RawPacket& test_packet() {
   return pkt;
 }
 
-// (A) alone: the programmable parser.
+// (A) alone: the programmable parser (the router's lowered parse graph).
 void BM_Fig3_ParseOnly(benchmark::State& state) {
-  const dataplane::ParserProgram parser = dataplane::standard_parser();
+  dataplane::PisaSwitch sw(dataplane::make_router());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(parser.parse(test_packet()));
+    benchmark::DoNotOptimize(sw.parse(test_packet()));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -31,6 +31,7 @@
 
 #include "dataplane/nf.h"
 #include "harness.h"
+#include "table_oracle.h"
 
 namespace {
 
@@ -122,19 +123,20 @@ class Workload {
     lc.probes = probes;
     dataplane::Table* nat = nat_->sw().program().table("nat");
     // Probe a mix of live flows and guaranteed misses.
-    std::vector<dataplane::ParsedPacket> pkts;
-    pkts.reserve(probes);
+    std::vector<std::vector<std::uint64_t>> keys;
+    keys.reserve(probes);
     std::uniform_int_distribution<std::uint64_t> pick(0, next_flow_ - 1);
     for (std::size_t i = 0; i < probes; ++i) {
       dataplane::FlowKey k =
           (i % 8 == 7) ? dataplane::FlowKey{0xDEAD0000u + static_cast<std::uint32_t>(i), 9}
                        : nth_flow(pick(rng));
-      pkts.push_back(nat_->sw().parse(nat_->make_packet(k)));
+      const dataplane::RawPacket raw = nat_->make_packet(k);
+      keys.push_back(*dataplane::oracle::key_of(*nat, nat_->sw().parse(raw)));
     }
     std::uint64_t sink = 0;
     const auto t0 = Clock::now();
-    for (auto& p : pkts) {
-      const dataplane::TableEntry* e = nat->lookup(p);
+    for (const auto& key : keys) {
+      const dataplane::TableEntry* e = nat->lookup(key);
       sink += e != nullptr ? e->action_params[0] : 0;
     }
     const auto t1 = Clock::now();
@@ -142,15 +144,17 @@ class Workload {
         static_cast<double>(elapsed_ns(t0, t1)) / static_cast<double>(probes);
     if (with_scan) {
       const auto s0 = Clock::now();
-      for (auto& p : pkts) {
-        const dataplane::TableEntry* e = nat->lookup_scan(p);
+      for (const auto& key : keys) {
+        const dataplane::TableEntry* e = dataplane::oracle::lookup(*nat, key);
         sink += e != nullptr ? e->action_params[0] : 0;
       }
       const auto s1 = Clock::now();
       lc.scan_ns =
           static_cast<double>(elapsed_ns(s0, s1)) / static_cast<double>(probes);
-      for (auto& p : pkts) {
-        if (nat->lookup(p) != nat->lookup_scan(p)) lc.match = false;
+      for (const auto& key : keys) {
+        if (nat->lookup(key) != dataplane::oracle::lookup(*nat, key)) {
+          lc.match = false;
+        }
       }
     }
     if (sink == 0xFFFFFFFFFFFFFFFFULL) std::printf("(unreachable)\n");

@@ -24,7 +24,6 @@ netkat::Packet abstract_packet(const dataplane::ParsedPacket& pkt) {
   out.set("meta.user0", pkt.meta.user0);
   out.set("meta.user1", pkt.meta.user1);
   for (const auto& h : pkt.headers()) {
-    if (!h.valid) continue;
     out.set("valid." + h.spec->name, 1);
     for (std::size_t i = 0; i < h.spec->fields.size(); ++i) {
       out.set(h.spec->name + "." + h.spec->fields[i].name, h.values[i]);
@@ -198,7 +197,6 @@ bool behaviors_agree(const std::shared_ptr<DataplaneProgram>& program,
   if (m.get(bridge_fields::kPort) != switch_out->port) return false;
   // Every header field of the final packet must agree.
   for (const auto& h : parsed.headers()) {
-    if (!h.valid) continue;
     for (std::size_t i = 0; i < h.spec->fields.size(); ++i) {
       const std::string name = h.spec->name + "." + h.spec->fields[i].name;
       if (m.get(name) != h.values[i]) return false;

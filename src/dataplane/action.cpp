@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "dataplane/registers.h"
-
 namespace pera::dataplane {
 
 std::uint64_t Operand::resolve(const std::vector<std::uint64_t>& params) const {
@@ -13,63 +11,6 @@ std::uint64_t Operand::resolve(const std::vector<std::uint64_t>& params) const {
                              std::to_string(param_index));
   }
   return params[param_index];
-}
-
-void ActionDef::execute(ParsedPacket& pkt,
-                        const std::vector<std::uint64_t>& params,
-                        RegisterFile* regs) const {
-  if (params.size() < param_count) {
-    throw std::runtime_error("action '" + name + "' expects " +
-                             std::to_string(param_count) + " params, got " +
-                             std::to_string(params.size()));
-  }
-  for (const Op& op : ops) {
-    switch (op.kind) {
-      case OpKind::kSetField:
-        pkt.set(op.dst, op.a.resolve(params));
-        break;
-      case OpKind::kCopyField:
-        pkt.set(op.dst, pkt.get(op.src));
-        break;
-      case OpKind::kAddToField:
-        pkt.set(op.dst, pkt.get(op.dst) + op.a.resolve(params));
-        break;
-      case OpKind::kSetEgressPort:
-        pkt.meta.egress_port =
-            static_cast<std::uint32_t>(op.a.resolve(params));
-        break;
-      case OpKind::kDrop:
-        pkt.meta.drop = true;
-        break;
-      case OpKind::kSetUserMeta:
-        if (op.which_meta == 0) {
-          pkt.meta.user0 = op.a.resolve(params);
-        } else {
-          pkt.meta.user1 = op.a.resolve(params);
-        }
-        break;
-      case OpKind::kRegWrite: {
-        if (regs == nullptr) {
-          throw std::runtime_error("action '" + name +
-                                   "' uses registers but none provided");
-        }
-        regs->write(op.reg, static_cast<std::size_t>(op.a.resolve(params)),
-                    op.b.resolve(params));
-        break;
-      }
-      case OpKind::kRegReadToMeta: {
-        if (regs == nullptr) {
-          throw std::runtime_error("action '" + name +
-                                   "' uses registers but none provided");
-        }
-        pkt.meta.user0 =
-            regs->read(op.reg, static_cast<std::size_t>(op.a.resolve(params)));
-        break;
-      }
-      case OpKind::kNoop:
-        break;
-    }
-  }
 }
 
 crypto::Bytes ActionDef::encode() const {

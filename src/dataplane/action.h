@@ -1,6 +1,8 @@
 // Match-action actions: small programs of primitive operations, in the
 // style of P4 action bodies. Action parameters are bound by table entries
-// at control-plane time and referenced by index from the ops.
+// at control-plane time and referenced by index from the ops. This is the
+// symbolic form; the lowered form (lowered.h) resolves every field and
+// register name in the ops to a slot and executes that.
 #pragma once
 
 #include <cstdint>
@@ -8,11 +10,9 @@
 #include <vector>
 
 #include "crypto/bytes.h"
-#include "dataplane/packet.h"
+#include "dataplane/field.h"
 
 namespace pera::dataplane {
-
-class RegisterFile;
 
 /// Primitive operation kinds.
 enum class OpKind : std::uint8_t {
@@ -55,11 +55,6 @@ struct ActionDef {
   std::string name;
   std::size_t param_count = 0;
   std::vector<Op> ops;
-
-  /// Execute on a packet. `regs` may be null when the action uses no
-  /// register ops. Throws std::runtime_error on parameter/register misuse.
-  void execute(ParsedPacket& pkt, const std::vector<std::uint64_t>& params,
-               RegisterFile* regs) const;
 
   /// Canonical encoding for program attestation.
   [[nodiscard]] crypto::Bytes encode() const;

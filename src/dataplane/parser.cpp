@@ -1,62 +1,9 @@
 #include "dataplane/parser.h"
 
-#include <stdexcept>
-
 namespace pera::dataplane {
 
 void ParserProgram::add_state(ParserState state) {
   states_[state.name] = std::move(state);
-}
-
-ParsedPacket ParserProgram::parse(const RawPacket& raw) const {
-  ParsedPacket pkt;
-  pkt.meta.ingress_port = raw.port;
-
-  std::string state_name = "start";
-  std::size_t offset = 0;
-  std::size_t steps = 0;
-
-  while (state_name != "accept") {
-    if (++steps > 64) {
-      throw std::runtime_error("parser: too many states (loop in parse graph?)");
-    }
-    const auto sit = states_.find(state_name);
-    if (sit == states_.end()) {
-      throw std::runtime_error("parser: unknown state '" + state_name + "'");
-    }
-    const ParserState& st = sit->second;
-
-    const HeaderInstance* extracted = nullptr;
-    if (!st.header.empty()) {
-      const auto hit = schema_.find(st.header);
-      if (hit == schema_.end()) {
-        throw std::runtime_error("parser: unknown header '" + st.header + "'");
-      }
-      const HeaderSpec& spec = hit->second;
-      const BytesView rest{raw.data.data() + offset, raw.data.size() - offset};
-      HeaderInstance& h = pkt.add_header(spec);
-      h.values = unpack_header(spec, rest);
-      offset += spec.byte_width();
-      extracted = &h;
-    }
-
-    if (st.select) {
-      if (extracted == nullptr) {
-        throw std::runtime_error("parser: select in state '" + st.name +
-                                 "' without an extracted header");
-      }
-      const std::uint64_t v = extracted->get(st.select->field);
-      const auto cit = st.select->cases.find(v);
-      state_name =
-          cit == st.select->cases.end() ? st.select->default_next : cit->second;
-    } else {
-      state_name = st.next;
-    }
-  }
-
-  pkt.payload.assign(raw.data.begin() + static_cast<std::ptrdiff_t>(offset),
-                     raw.data.end());
-  return pkt;
 }
 
 crypto::Bytes ParserProgram::encode() const {

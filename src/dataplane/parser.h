@@ -4,6 +4,15 @@
 // of one field of the header just extracted (or transitions
 // unconditionally). Parsing starts at "start" and ends at the implicit
 // "accept" state; leftover bytes become the payload.
+//
+// This is the symbolic form: what programs are built from, encoded for
+// the program digest and checked by the verifier. Packets are parsed by
+// the program's lowered form (lowered.h), which resolves the graph to
+// index arrays once. A frame shorter than a header it must extract is a
+// parse error that throws std::invalid_argument; reaching an unknown
+// state, a state with an unknown header, a select on a field the header
+// lacks or a select without an extracted header, or more than 64 states
+// on one path, throws std::runtime_error.
 #pragma once
 
 #include <map>
@@ -42,10 +51,6 @@ class ParserProgram {
   [[nodiscard]] const std::map<std::string, ParserState>& states() const {
     return states_;
   }
-
-  /// Parse a raw packet into a ParsedPacket.
-  /// Throws std::runtime_error on unknown states/headers or short packets.
-  [[nodiscard]] ParsedPacket parse(const RawPacket& raw) const;
 
   /// Canonical encoding of the parse graph, for program attestation.
   [[nodiscard]] crypto::Bytes encode() const;

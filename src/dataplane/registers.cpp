@@ -7,51 +7,65 @@
 
 namespace pera::dataplane {
 
-void RegisterFile::declare(const std::string& name, std::size_t size) {
-  regs_[name] = Reg{std::vector<std::uint64_t>(size, 0), 0, {}};
+std::size_t RegisterFile::declare(const std::string& name, std::size_t size) {
+  const auto [it, fresh] = index_.emplace(name, regs_.size());
+  if (fresh) regs_.emplace_back();
+  regs_[it->second] = Reg{std::vector<std::uint64_t>(size, 0), 0, {}};
   ++decls_;
   layout_stale_ = true;
+  return it->second;
+}
+
+std::size_t RegisterFile::handle_of(const std::string& name) const {
+  const auto it = index_.find(name);
+  if (it == index_.end()) {
+    throw std::out_of_range("register '" + name + "' not declared");
+  }
+  return it->second;
 }
 
 std::uint64_t RegisterFile::read(const std::string& name,
                                  std::size_t index) const {
-  const auto it = regs_.find(name);
-  if (it == regs_.end()) {
-    throw std::out_of_range("register '" + name + "' not declared");
-  }
-  if (index >= it->second.values.size()) {
+  std::uint64_t value = 0;
+  if (!read_at(handle_of(name), index, value)) {
     throw std::out_of_range("register '" + name + "' index " +
                             std::to_string(index) + " out of range");
   }
-  return it->second.values[index];
+  return value;
 }
 
 void RegisterFile::write(const std::string& name, std::size_t index,
                          std::uint64_t value) {
-  const auto it = regs_.find(name);
-  if (it == regs_.end()) {
-    throw std::out_of_range("register '" + name + "' not declared");
-  }
-  Reg& reg = it->second;
-  if (index >= reg.values.size()) {
+  if (!write_at(handle_of(name), index, value)) {
     throw std::out_of_range("register '" + name + "' index " +
                             std::to_string(index) + " out of range");
   }
-  if (reg.values[index] == value) return;  // no-op write: nothing changed
+}
+
+bool RegisterFile::read_at(std::size_t handle, std::size_t index,
+                           std::uint64_t& out) const {
+  const Reg& reg = regs_[handle];
+  if (index >= reg.values.size()) return false;
+  out = reg.values[index];
+  return true;
+}
+
+bool RegisterFile::write_at(std::size_t handle, std::size_t index,
+                            std::uint64_t value) {
+  Reg& reg = regs_[handle];
+  if (index >= reg.values.size()) return false;
+  if (reg.values[index] == value) return true;  // no-op write
   reg.values[index] = value;
   ++writes_;
   if (tree_init_ && !layout_stale_) {
     const std::size_t chunk = index / kChunkValues;
     reg.dirty_chunks[chunk / 64] |= std::uint64_t{1} << (chunk % 64);
   }
+  return true;
 }
 
 std::size_t RegisterFile::size(const std::string& name) const {
-  const auto it = regs_.find(name);
-  if (it == regs_.end()) {
-    throw std::out_of_range("register '" + name + "' not declared");
-  }
-  return it->second.values.size();
+  return regs_[handle_of(name)].values.size();
 }
 
 crypto::Digest RegisterFile::schema_leaf(const std::string& name,
@@ -80,7 +94,8 @@ crypto::Digest RegisterFile::chunk_leaf(
 
 void RegisterFile::rebuild_tree() const {
   std::vector<crypto::Digest> leaves;
-  for (const auto& [name, reg] : regs_) {
+  for (const auto& [name, handle] : index_) {
+    const Reg& reg = regs_[handle];
     reg.leaf_base = leaves.size();
     leaves.push_back(schema_leaf(name, reg.values.size()));
     const std::size_t chunks =
@@ -101,7 +116,7 @@ crypto::Digest RegisterFile::state_digest() const {
     PERA_OBS_COUNT("dataplane.digest.reg.full");
   } else {
     std::uint64_t dirty = 0;
-    for (const auto& [name, reg] : regs_) {
+    for (const Reg& reg : regs_) {
       for (std::size_t w = 0; w < reg.dirty_chunks.size(); ++w) {
         std::uint64_t word = reg.dirty_chunks[w];
         while (word != 0) {
@@ -128,7 +143,8 @@ crypto::Digest RegisterFile::state_digest() const {
 
 crypto::Digest RegisterFile::state_digest_full() const {
   std::vector<crypto::Digest> leaves;
-  for (const auto& [name, reg] : regs_) {
+  for (const auto& [name, handle] : index_) {
+    const Reg& reg = regs_[handle];
     leaves.push_back(schema_leaf(name, reg.values.size()));
     const std::size_t chunks =
         (reg.values.size() + kChunkValues - 1) / kChunkValues;

@@ -28,10 +28,13 @@ class RegisterFile {
   static constexpr std::size_t kChunkValues = 64;
 
   /// Declare a register array. Re-declaring resizes and zeroes it.
-  void declare(const std::string& name, std::size_t size);
+  /// Returns the array's handle: handles number distinct names in the
+  /// order they were first declared, so a program's lowered form can
+  /// address registers without name lookups.
+  std::size_t declare(const std::string& name, std::size_t size);
 
   [[nodiscard]] bool has(const std::string& name) const {
-    return regs_.contains(name);
+    return index_.contains(name);
   }
 
   /// Read; throws std::out_of_range on unknown register or bad index.
@@ -42,6 +45,14 @@ class RegisterFile {
   /// Writing the value already stored is a no-op: it bumps no counter and
   /// dirties no chunk, so cached evidence stays valid.
   void write(const std::string& name, std::size_t index, std::uint64_t value);
+
+  /// Handle-addressed read/write for the per-packet path: false when
+  /// `index` is out of range (nothing is read or written). The handle
+  /// must come from declare().
+  [[nodiscard]] bool read_at(std::size_t handle, std::size_t index,
+                             std::uint64_t& out) const;
+  [[nodiscard]] bool write_at(std::size_t handle, std::size_t index,
+                              std::uint64_t value);
 
   [[nodiscard]] std::size_t size(const std::string& name) const;
 
@@ -75,7 +86,10 @@ class RegisterFile {
       const std::vector<std::uint64_t>& values, std::size_t chunk);
   void rebuild_tree() const;
 
-  std::map<std::string, Reg> regs_;
+  [[nodiscard]] std::size_t handle_of(const std::string& name) const;
+
+  std::vector<Reg> regs_;                      // by handle
+  std::map<std::string, std::size_t> index_;  // name -> handle; digest order
   std::uint64_t writes_ = 0;
   std::uint64_t decls_ = 0;
 

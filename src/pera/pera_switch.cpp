@@ -61,6 +61,7 @@ void PeraSwitch::update_table(const std::string& table,
     throw std::invalid_argument("update_table: no table '" + table + "' in " +
                                 switch_.program().name());
   }
+  switch_.program().check_entry(*t, entry);
   t->add_entry(std::move(entry));
   mu_.on_tables_updated();
   PERA_OBS_COUNT("pera.epoch.tables");

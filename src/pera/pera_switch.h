@@ -73,7 +73,9 @@ class PeraSwitch {
   /// evidence immediately expires; this is how RA catches the swap).
   void load_program(std::shared_ptr<dataplane::DataplaneProgram> program);
 
-  /// Add a table entry at runtime (bumps the tables epoch).
+  /// Add a table entry at runtime (bumps the tables epoch). Throws
+  /// std::invalid_argument, adding nothing, for an unknown table, a key
+  /// count mismatch or an undeclared action.
   void update_table(const std::string& table, dataplane::TableEntry entry);
 
   /// Register a named guard test evaluated against the current packet

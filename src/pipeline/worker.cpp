@@ -1,6 +1,7 @@
 #include "pipeline/worker.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/obs.h"
@@ -70,10 +71,17 @@ void ShardWorker::sync_epoch() {
   std::vector<ControlOp> ops;
   const std::uint64_t v = epochs_->ops_since(applied_ops_, ops);
   for (const ControlOp& op : ops) {
-    if (op.kind == ControlOp::Kind::kLoadProgram) {
-      switch_.load_program(op.factory());
-    } else {
-      switch_.update_table(op.table, op.entry);
+    // A malformed program or entry is refused here, on the shard thread,
+    // and leaves the switch as it was.
+    try {
+      if (op.kind == ControlOp::Kind::kLoadProgram) {
+        switch_.load_program(op.factory());
+      } else {
+        switch_.update_table(op.table, op.entry);
+      }
+    } catch (const std::invalid_argument&) {
+      ++report_.rejected_ops;
+      PERA_OBS_COUNT("pipeline.control.rejected");
     }
     ++applied_ops_;
   }
@@ -154,6 +162,7 @@ void ShardWorker::drain_deferred() {
 ShardReport ShardWorker::report() const {
   ShardReport r = report_;
   r.cache = switch_.cache().stats();
+  r.pipeline_faults = switch_.dataplane().stats().pipeline_faults;
   return r;
 }
 

@@ -75,6 +75,10 @@ struct ShardReport {
   std::uint64_t forwarded = 0;
   std::uint64_t attested = 0;
   std::uint64_t epoch_syncs = 0;
+  /// Packets the dataplane dropped on a pipeline fault (SwitchStats).
+  std::uint64_t pipeline_faults = 0;
+  /// Control ops (program loads, table updates) refused as malformed.
+  std::uint64_t rejected_ops = 0;
   netsim::SimTime busy = 0;        // sum of per-packet simulated costs
   netsim::SimTime completion = 0;  // shard sim clock after its last packet
   pera::CacheStats cache;

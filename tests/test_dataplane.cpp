@@ -5,16 +5,36 @@
 #include <gtest/gtest.h>
 
 #include "dataplane/builder.h"
+#include "table_oracle.h"
 
 namespace pera::dataplane {
 namespace {
 
-// ParsedPacket borrows HeaderSpec pointers from the program that parsed it
-// (see dataplane/packet.h), so packets stored in a local must not come from
-// a temporary ParserProgram. Parse through this long-lived instance instead.
-const ParserProgram& std_parser() {
-  static const ParserProgram p = standard_parser();
-  return p;
+// A switch running the standard parser and no tables: the lowered parse
+// entry point for packet-level tests. ParsedPacket borrows the program
+// that parsed it (see dataplane/packet.h), so this instance is long-lived.
+PisaSwitch& std_switch() {
+  static PisaSwitch sw(
+      std::make_shared<DataplaneProgram>("std", "v1", standard_parser()));
+  return sw;
+}
+
+// Table::lookup on the key a raw packet presents to `t` (nullptr when a
+// keyed header is absent: no entry can match).
+TableEntry* lookup(Table& t, const RawPacket& raw) {
+  const auto key = oracle::key_of(t, std_switch().parse(raw));
+  return key ? t.lookup(*key) : nullptr;
+}
+
+// A program whose only table has no keys and runs `action` with `params`
+// as its default: how the action tests reach the lowered executor.
+std::shared_ptr<DataplaneProgram> one_action(ActionDef action,
+                                             std::vector<std::uint64_t> params) {
+  auto prog = std::make_shared<DataplaneProgram>("one", "v1", standard_parser());
+  const std::string name = action.name;
+  prog->add_action(std::move(action));
+  prog->add_table("t", {}).set_default(name, std::move(params));
+  return prog;
 }
 
 // --- header packing ---------------------------------------------------------
@@ -73,41 +93,39 @@ TEST(FieldRef, ParseAndReject) {
 // --- parser -------------------------------------------------------------------
 
 TEST(Parser, ParsesEthIpv4Tcp) {
-  const ParserProgram p = standard_parser();
   const RawPacket raw = make_tcp_packet({});
-  const ParsedPacket pkt = p.parse(raw);
+  const ParsedPacket pkt = std_switch().parse(raw);
   EXPECT_TRUE(pkt.has("eth"));
   EXPECT_TRUE(pkt.has("ipv4"));
   EXPECT_TRUE(pkt.has("tcp"));
   EXPECT_EQ(pkt.get("ipv4.dst"), 0x0a000202u);
   EXPECT_EQ(pkt.get("tcp.dport"), 443u);
-  EXPECT_EQ(pkt.payload.size(), 64u);
+  EXPECT_EQ(pkt.payload().size(), 64u);
 }
 
 TEST(Parser, NonIpStopsAfterEth) {
-  const ParserProgram p = standard_parser();
   const HeaderSpec eth = stdhdr::ethernet();
   RawPacket raw;
   raw.data = pack_header(eth, {1, 2, 0x0806});  // ARP
   raw.data.resize(raw.data.size() + 28, 0);
-  const ParsedPacket pkt = p.parse(raw);
+  const ParsedPacket pkt = std_switch().parse(raw);
   EXPECT_TRUE(pkt.has("eth"));
   EXPECT_FALSE(pkt.has("ipv4"));
-  EXPECT_EQ(pkt.payload.size(), 28u);
+  EXPECT_EQ(pkt.payload().size(), 28u);
 }
 
 TEST(Parser, TruncatedPacketThrows) {
-  const ParserProgram p = standard_parser();
   RawPacket raw;
   raw.data = {1, 2, 3};
-  EXPECT_THROW((void)p.parse(raw), std::invalid_argument);
+  EXPECT_THROW((void)std_switch().parse(raw), std::invalid_argument);
 }
 
 TEST(Parser, DeparseRoundTrips) {
-  const ParserProgram p = standard_parser();
   const RawPacket raw = make_tcp_packet({});
-  const ParsedPacket pkt = p.parse(raw);
-  EXPECT_EQ(pkt.deparse(), raw.data);
+  const ParsedPacket pkt = std_switch().parse(raw);
+  const auto out = std_switch().deparse(pkt);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->data, raw.data);
 }
 
 TEST(Parser, EncodeIsStable) {
@@ -122,8 +140,7 @@ TEST(Table, ExactMatch) {
   e.keys = {KeyMatch::exact(443)};
   e.action = "hit";
   t.add_entry(e);
-  const ParsedPacket pkt = std_parser().parse(make_tcp_packet({}));
-  TableEntry* hit = t.lookup(pkt);
+  TableEntry* hit = lookup(t, make_tcp_packet({}));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action, "hit");
   EXPECT_EQ(hit->hit_count, 1u);
@@ -135,8 +152,7 @@ TEST(Table, ExactMiss) {
   e.keys = {KeyMatch::exact(80)};
   e.action = "hit";
   t.add_entry(e);
-  const ParsedPacket pkt = std_parser().parse(make_tcp_packet({}));
-  EXPECT_EQ(t.lookup(pkt), nullptr);
+  EXPECT_EQ(lookup(t, make_tcp_packet({})), nullptr);
 }
 
 TEST(Table, LpmPrefersLongestPrefix) {
@@ -151,8 +167,7 @@ TEST(Table, LpmPrefersLongestPrefix) {
   t.add_entry(narrow);
   PacketSpec spec;
   spec.ip_dst = 0x0a000042;
-  const ParsedPacket pkt = std_parser().parse(make_tcp_packet(spec));
-  TableEntry* hit = t.lookup(pkt);
+  TableEntry* hit = lookup(t, make_tcp_packet(spec));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action, "narrow");
 }
@@ -167,10 +182,8 @@ TEST(Table, LpmRespectsFieldWidth) {
   in_subnet.ip_dst = 0x0a0001fe;
   PacketSpec out_subnet;
   out_subnet.ip_dst = 0x0a0002fe;
-  EXPECT_NE(t.lookup(std_parser().parse(make_tcp_packet(in_subnet))),
-            nullptr);
-  EXPECT_EQ(t.lookup(std_parser().parse(make_tcp_packet(out_subnet))),
-            nullptr);
+  EXPECT_NE(lookup(t, make_tcp_packet(in_subnet)), nullptr);
+  EXPECT_EQ(lookup(t, make_tcp_packet(out_subnet)), nullptr);
 }
 
 TEST(Table, TernaryAndPriority) {
@@ -185,12 +198,10 @@ TEST(Table, TernaryAndPriority) {
   https.priority = 10;
   https.action = "https";
   t.add_entry(https);
-  const ParsedPacket pkt = std_parser().parse(make_tcp_packet({}));
-  EXPECT_EQ(t.lookup(pkt)->action, "https");
+  EXPECT_EQ(lookup(t, make_tcp_packet({}))->action, "https");
   PacketSpec other;
   other.dport = 8080;
-  EXPECT_EQ(t.lookup(std_parser().parse(make_tcp_packet(other)))->action,
-            "any");
+  EXPECT_EQ(lookup(t, make_tcp_packet(other))->action, "any");
 }
 
 TEST(Table, MetadataKeys) {
@@ -201,22 +212,32 @@ TEST(Table, MetadataKeys) {
   t.add_entry(e);
   PacketSpec spec;
   spec.ingress_port = 4;
-  EXPECT_NE(t.lookup(std_parser().parse(make_tcp_packet(spec))), nullptr);
+  EXPECT_NE(lookup(t, make_tcp_packet(spec)), nullptr);
   spec.ingress_port = 5;
-  EXPECT_EQ(t.lookup(std_parser().parse(make_tcp_packet(spec))), nullptr);
+  EXPECT_EQ(lookup(t, make_tcp_packet(spec)), nullptr);
 }
 
+// A key on a header the packet lacks matches no entry, even a wildcard
+// one: the pipeline takes the default action.
 TEST(Table, MissingHeaderNeverMatches) {
-  Table t("t", {KeySpec{{"tcp", "dport"}, MatchKind::kExact}});
+  auto prog = std::make_shared<DataplaneProgram>("p", "v1", standard_parser());
+  prog->add_action(stdaction::forward());
+  Table& t = prog->add_table("t", {KeySpec{{"tcp", "dport"}, MatchKind::kTernary}});
   TableEntry e;
-  e.keys = {KeyMatch::exact(443)};
-  e.action = "hit";
+  e.keys = {KeyMatch::wildcard()};
+  e.action = "forward";
+  e.action_params = {7};
   t.add_entry(e);
+  t.set_default("forward", {1});
+  PisaSwitch sw(prog);
   const HeaderSpec eth = stdhdr::ethernet();
   RawPacket raw;
   raw.data = pack_header(eth, {1, 2, 0x0806});
-  const ParsedPacket pkt = std_parser().parse(raw);
-  EXPECT_EQ(t.lookup(pkt), nullptr);
+  const auto out = sw.process(raw);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->port, 1u);
+  EXPECT_EQ(sw.stats().table_hits, 0u);
+  EXPECT_EQ(sw.process(make_tcp_packet({}))->port, 7u);
 }
 
 TEST(Table, EntryKeyCountValidated) {
@@ -241,30 +262,41 @@ TEST(Table, ContentDigestTracksEntries) {
 // --- actions / registers --------------------------------------------------------
 
 TEST(Action, ForwardSetsEgress) {
-  ParsedPacket pkt = std_parser().parse(make_tcp_packet({}));
-  stdaction::forward().execute(pkt, {7}, nullptr);
+  PisaSwitch sw(one_action(stdaction::forward(), {7}));
+  const RawPacket raw = make_tcp_packet({});
+  ParsedPacket pkt = sw.parse(raw);
+  sw.run_pipeline(pkt);
   EXPECT_EQ(pkt.meta.egress_port, 7u);
 }
 
 TEST(Action, DropSetsFlag) {
-  ParsedPacket pkt = std_parser().parse(make_tcp_packet({}));
-  stdaction::drop().execute(pkt, {}, nullptr);
+  PisaSwitch sw(one_action(stdaction::drop(), {}));
+  const RawPacket raw = make_tcp_packet({});
+  ParsedPacket pkt = sw.parse(raw);
+  sw.run_pipeline(pkt);
   EXPECT_TRUE(pkt.meta.drop);
+  EXPECT_FALSE(pkt.faulted());
 }
 
 TEST(Action, SetFieldMasksToWidth) {
-  ParsedPacket pkt = std_parser().parse(make_tcp_packet({}));
-  stdaction::set_field("ipv4.ttl").execute(pkt, {0x1ff}, nullptr);
+  PisaSwitch sw(one_action(stdaction::set_field("ipv4.ttl"), {0x1ff}));
+  const RawPacket raw = make_tcp_packet({});
+  ParsedPacket pkt = sw.parse(raw);
+  sw.run_pipeline(pkt);
   EXPECT_EQ(pkt.get("ipv4.ttl"), 0xffu);  // 8-bit field
+  const auto out = sw.deparse(pkt);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->data[14 + 4], 0xffu);  // ipv4.ttl on the wire
 }
 
-TEST(Action, MissingParamThrows) {
-  ParsedPacket pkt = std_parser().parse(make_tcp_packet({}));
-  EXPECT_THROW(stdaction::forward().execute(pkt, {}, nullptr),
-               std::runtime_error);
+TEST(Action, MissingParamFaults) {
+  PisaSwitch sw(one_action(stdaction::forward(), {}));
+  EXPECT_FALSE(sw.process(make_tcp_packet({})).has_value());
+  EXPECT_EQ(sw.stats().pipeline_faults, 1u);
+  EXPECT_EQ(sw.stats().packets_dropped, 0u);
 }
 
-TEST(Action, RegisterOpsNeedRegisterFile) {
+TEST(Action, RegisterOpsNeedDeclaredRegister) {
   ActionDef a;
   a.name = "regop";
   Op op;
@@ -273,12 +305,12 @@ TEST(Action, RegisterOpsNeedRegisterFile) {
   op.a = Operand::imm(0);
   op.b = Operand::imm(5);
   a.ops.push_back(op);
-  ParsedPacket pkt = std_parser().parse(make_tcp_packet({}));
-  EXPECT_THROW(a.execute(pkt, {}, nullptr), std::runtime_error);
-  RegisterFile regs;
-  regs.declare("r", 4);
-  a.execute(pkt, {}, &regs);
-  EXPECT_EQ(regs.read("r", 0), 5u);
+  EXPECT_THROW((void)PisaSwitch(one_action(a, {})), std::invalid_argument);
+  auto prog = one_action(a, {});
+  prog->declare_register("r", 4);
+  PisaSwitch sw(prog);
+  (void)sw.process(make_tcp_packet({}));
+  EXPECT_EQ(sw.registers().read("r", 0), 5u);
 }
 
 TEST(Registers, BoundsChecked) {
@@ -296,6 +328,169 @@ TEST(Registers, StateDigestTracksWrites) {
   regs.write("r", 1, 42);
   EXPECT_NE(regs.state_digest(), d0);
   EXPECT_EQ(regs.write_count(), 1u);
+}
+
+// --- the lowered form: load-time rejection and pipeline faults ------------------
+
+// A program whose default action writes tcp.dport: every frame without a
+// TCP header faults.
+std::shared_ptr<DataplaneProgram> dport_rewriter() {
+  auto prog = std::make_shared<DataplaneProgram>("rw", "v1", standard_parser());
+  prog->add_action(stdaction::set_field("tcp.dport"));
+  prog->add_table("t", {}).set_default("set_tcp.dport", {8080});
+  return prog;
+}
+
+RawPacket eth_only_frame() {
+  RawPacket raw;
+  raw.data = pack_header(stdhdr::ethernet(), {1, 2, 0x0806});  // 14 bytes
+  return raw;
+}
+
+TEST(PipelineFault, AbsentHeaderWriteDropsAndCounts) {
+  PisaSwitch sw(dport_rewriter());
+  const RawPacket eth = eth_only_frame();
+  ParsedPacket pkt = sw.parse(eth);
+  sw.run_pipeline(pkt);  // must not throw
+  EXPECT_TRUE(pkt.faulted());
+  EXPECT_TRUE(pkt.meta.drop);
+  EXPECT_FALSE(sw.deparse(pkt).has_value());
+  EXPECT_EQ(sw.stats().pipeline_faults, 1u);
+  EXPECT_EQ(sw.stats().packets_dropped, 0u);
+
+  // TCP traffic takes the rewrite, on the wire too.
+  const auto out = sw.process(make_tcp_packet({}));
+  ASSERT_TRUE(out.has_value());
+  // tcp.dport: after eth (14 bytes) and the simplified ipv4 (16 bytes).
+  EXPECT_EQ((out->data[14 + 16 + 2] << 8) | out->data[14 + 16 + 3], 8080);
+  EXPECT_FALSE(sw.process(eth).has_value());
+  const SwitchStats& st = sw.stats();
+  EXPECT_EQ(st.pipeline_faults, 2u);
+  EXPECT_EQ(st.packets_in, st.packets_out + st.packets_dropped +
+                               st.parse_errors + st.pipeline_faults);
+}
+
+TEST(PipelineFault, RegisterIndexOutOfRangeKeepsEarlierWrites) {
+  ActionDef a;
+  a.name = "two_writes";
+  a.param_count = 2;
+  for (std::size_t p : {0, 1}) {
+    Op op;
+    op.kind = OpKind::kRegWrite;
+    op.reg = "r";
+    op.a = Operand::param(p);
+    op.b = Operand::imm(7);
+    a.ops.push_back(op);
+  }
+  auto prog = one_action(a, {1, 4});  // r[1] := 7, then r[4]: out of range
+  prog->declare_register("r", 4);
+  PisaSwitch sw(prog);
+  EXPECT_FALSE(sw.process(make_tcp_packet({})).has_value());
+  EXPECT_EQ(sw.stats().pipeline_faults, 1u);
+  EXPECT_EQ(sw.registers().read("r", 1), 7u);  // ops run in order
+}
+
+TEST(PipelineFault, EntryAddedBehindTheCheckFaults) {
+  // Table::add_entry itself does not validate; an undeclared action that
+  // reaches the pipeline that way faults the packet instead of throwing.
+  auto prog = make_router();
+  PisaSwitch sw(prog);
+  TableEntry e;
+  e.keys = {KeyMatch::lpm(0x0a000200, 24)};
+  e.priority = 1;
+  e.action = "no_such_action";
+  prog->table("route")->add_entry(e);
+  EXPECT_FALSE(sw.process(make_tcp_packet({})).has_value());
+  EXPECT_EQ(sw.stats().pipeline_faults, 1u);
+  EXPECT_EQ(sw.stats().table_hits, 1u);
+}
+
+TEST(Lowering, RejectsUndeclaredDefaultAction) {
+  auto prog = make_router();
+  prog->table("route")->set_default("no_such_action");
+  EXPECT_THROW((void)PisaSwitch(prog), std::invalid_argument);
+}
+
+TEST(Lowering, RejectsUndeclaredEntryAction) {
+  auto prog = make_router();
+  TableEntry e;
+  e.keys = {KeyMatch::lpm(0xC0A80000, 16)};
+  e.action = "no_such_action";
+  prog->table("route")->add_entry(e);
+  EXPECT_THROW((void)PisaSwitch(prog), std::invalid_argument);
+}
+
+TEST(Lowering, RejectsUnknownKeyHeader) {
+  auto prog = make_router();
+  prog->add_table("vlans", {KeySpec{{"vlan", "vid"}, MatchKind::kExact}});
+  EXPECT_THROW((void)PisaSwitch(prog), std::invalid_argument);
+}
+
+TEST(Lowering, RejectsUnknownKeyField) {
+  auto prog = make_router();
+  prog->add_table("ttl", {KeySpec{{"ipv4", "hops"}, MatchKind::kExact}});
+  EXPECT_THROW((void)PisaSwitch(prog), std::invalid_argument);
+}
+
+TEST(Lowering, RejectsUnknownMetaField) {
+  auto prog = make_router();
+  prog->add_table("color", {KeySpec{{"meta", "color"}, MatchKind::kExact}});
+  EXPECT_THROW((void)PisaSwitch(prog), std::invalid_argument);
+}
+
+TEST(Lowering, RejectsOpOnUnknownHeader) {
+  auto prog = make_router();
+  prog->add_action(stdaction::set_field("udp.dport"));  // no udp in schema
+  EXPECT_THROW((void)PisaSwitch(prog), std::invalid_argument);
+}
+
+TEST(Lowering, RejectsOpOnUnknownField) {
+  auto prog = make_router();
+  prog->add_action(stdaction::set_field("tcp.urgent"));
+  EXPECT_THROW((void)PisaSwitch(prog), std::invalid_argument);
+}
+
+TEST(Lowering, RejectsOpOnUnknownRegister) {
+  auto prog = make_monitor();
+  ActionDef a;
+  a.name = "bad_read";
+  Op op;
+  op.kind = OpKind::kRegReadToMeta;
+  op.reg = "no_such_register";
+  a.ops.push_back(op);
+  prog->add_action(a);
+  EXPECT_THROW((void)PisaSwitch(prog), std::invalid_argument);
+}
+
+TEST(Lowering, RejectedLoadLeavesTheSwitchRunning) {
+  PisaSwitch sw(make_router());
+  auto bad = make_router("v2");
+  bad->table("route")->set_default("no_such_action");
+  EXPECT_THROW(sw.load_program(bad), std::invalid_argument);
+  EXPECT_EQ(sw.program().version(), "v1");
+  PacketSpec spec;
+  spec.ip_dst = 0x0a000305;
+  EXPECT_EQ(sw.process(make_tcp_packet(spec))->port, 3u);
+}
+
+TEST(Lowering, OncePerProgramInstance) {
+  auto prog = make_router();
+  const auto first = prog->lowered();
+  PisaSwitch a(prog);
+  PisaSwitch b(prog);
+  EXPECT_EQ(prog->lowered(), first);  // shared, not rebuilt per switch
+  prog->add_action(stdaction::noop());
+  EXPECT_NE(prog->lowered(), first);  // structural change: lowered again
+}
+
+TEST(Lowering, DigestsAreOverTheSymbolicForm) {
+  auto prog = make_firewall();
+  const crypto::Digest program = prog->program_digest();
+  const crypto::Digest tables = prog->tables_digest();
+  PisaSwitch sw(prog);
+  (void)sw.process(make_tcp_packet({}));
+  EXPECT_EQ(prog->program_digest(), program);
+  EXPECT_EQ(prog->tables_digest(), tables);
 }
 
 // --- programs and the switch --------------------------------------------------

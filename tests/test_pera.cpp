@@ -88,6 +88,21 @@ TEST(MeasurementUnit, EpochsAdvanceWithState) {
   EXPECT_GT(mu.epoch(nac::EvidenceDetail::kProgState), st0);
 }
 
+TEST(MeasurementUnit, UpdateTableRejectsUndeclaredAction) {
+  Bed bed;
+  PeraSwitch sw = bed.make_switch();
+  const auto tab0 = sw.measurement().epoch(nac::EvidenceDetail::kTables);
+  const crypto::Digest tables = sw.dataplane().program().tables_digest();
+  dataplane::TableEntry e;
+  e.keys = {dataplane::KeyMatch::lpm(0xC0A80000, 16)};
+  e.action = "no_such_action";
+  EXPECT_THROW(sw.update_table("route", e), std::invalid_argument);
+  // Refused before anything changed: no entry, no epoch bump.
+  EXPECT_EQ(sw.dataplane().program().table("route")->entry_count(), 8u);
+  EXPECT_EQ(sw.dataplane().program().tables_digest(), tables);
+  EXPECT_EQ(sw.measurement().epoch(nac::EvidenceDetail::kTables), tab0);
+}
+
 TEST(MeasurementUnit, SwapChangesProgramMeasurement) {
   Bed bed;
   PeraSwitch sw = bed.make_switch();

@@ -14,6 +14,7 @@
 #include "dataplane/nf.h"
 #include "dataplane/program.h"
 #include "pera/measurement.h"
+#include "table_oracle.h"
 
 namespace pera {
 namespace {
@@ -188,25 +189,100 @@ TEST(StateAttestTable, ExactIndexAgreesWithScan) {
     t.add_entry(std::move(e));
   }
   for (int probe = 0; probe < 500; ++probe) {
-    dataplane::PacketSpec spec;
-    spec.ip_dst = 0x0a000000 + static_cast<std::uint32_t>(rng() % 220);
-    spec.dport = static_cast<std::uint16_t>(1000 + rng() % 9);
-    dataplane::ParserProgram parser = dataplane::standard_parser();
-    dataplane::ParsedPacket pkt =
-        parser.parse(dataplane::make_tcp_packet(spec));
-    ASSERT_EQ(t.lookup(pkt), t.lookup_scan(pkt)) << "probe " << probe;
+    const std::vector<std::uint64_t> key = {0x0a000000 + rng() % 220,
+                                            1000 + rng() % 9};
+    ASSERT_EQ(t.lookup(key), dataplane::oracle::lookup(t, key))
+        << "probe " << probe;
   }
   // Churn and retry: the index must rebuild after structural changes.
   for (int i = 0; i < 100; ++i) (void)t.remove_entry(rng() % t.entry_count());
   for (int probe = 0; probe < 200; ++probe) {
-    dataplane::PacketSpec spec;
-    spec.ip_dst = 0x0a000000 + static_cast<std::uint32_t>(rng() % 220);
-    spec.dport = static_cast<std::uint16_t>(1000 + rng() % 9);
-    dataplane::ParserProgram parser = dataplane::standard_parser();
-    dataplane::ParsedPacket pkt =
-        parser.parse(dataplane::make_tcp_packet(spec));
-    ASSERT_EQ(t.lookup(pkt), t.lookup_scan(pkt)) << "post-churn " << probe;
+    const std::vector<std::uint64_t> key = {0x0a000000 + rng() % 220,
+                                            1000 + rng() % 9};
+    ASSERT_EQ(t.lookup(key), dataplane::oracle::lookup(t, key))
+        << "post-churn " << probe;
   }
+}
+
+// Table::match against the reference scan (tests/table_oracle.h) under
+// add / remove / entry_mut churn. Keys and priorities come from small
+// domains so that priority ties, equal-specificity LPM ties and duplicate
+// exact keys occur often: the first-inserted (lowest index) entry must
+// win them, on the exact-match index path and the scan path alike.
+void differential(std::vector<dataplane::KeySpec> specs, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  dataplane::Table t("t", specs);
+  const auto random_match = [&](const dataplane::KeySpec& k) {
+    switch (k.kind) {
+      case dataplane::MatchKind::kExact:
+        return dataplane::KeyMatch::exact(rng() % 6);
+      case dataplane::MatchKind::kLpm:
+        return dataplane::KeyMatch::lpm((rng() % 4) << 12 | (rng() % 4) << 8,
+                                        static_cast<unsigned>(4 * (rng() % 5)));
+      case dataplane::MatchKind::kTernary: {
+        const std::uint64_t masks[] = {0, 0x3, 0xf, 0xffff};
+        return dataplane::KeyMatch::ternary(rng() % 6, masks[rng() % 4]);
+      }
+    }
+    return dataplane::KeyMatch::wildcard();
+  };
+  const auto random_entry = [&] {
+    dataplane::TableEntry e;
+    for (const auto& k : specs) e.keys.push_back(random_match(k));
+    e.priority = static_cast<std::uint32_t>(rng() % 3);
+    e.action = "a" + std::to_string(rng() % 4);
+    return e;
+  };
+  const auto random_key = [&] {
+    std::vector<std::uint64_t> key;
+    for (const auto& k : specs) {
+      key.push_back(k.kind == dataplane::MatchKind::kLpm
+                        ? (rng() % 4) << 12 | (rng() % 4) << 8 | rng() % 16
+                        : rng() % 6);
+    }
+    return key;
+  };
+  for (int round = 0; round < 60; ++round) {
+    const std::uint64_t op = rng() % 10;
+    if (op < 5 || t.entry_count() == 0) {
+      t.add_entry(random_entry());
+    } else if (op < 7) {
+      (void)t.remove_entry(rng() % t.entry_count());
+    } else {
+      t.entry_mut(rng() % t.entry_count()) = random_entry();
+    }
+    for (int probe = 0; probe < 25; ++probe) {
+      const std::vector<std::uint64_t> key = random_key();
+      ASSERT_EQ(t.lookup(key), dataplane::oracle::lookup(t, key))
+          << "round " << round << " probe " << probe;
+    }
+  }
+}
+
+TEST(StateAttestTable, MatchAgreesWithOracleExact) {
+  differential({dataplane::KeySpec{{"ipv4", "dst"}, dataplane::MatchKind::kExact},
+                dataplane::KeySpec{{"tcp", "dport"}, dataplane::MatchKind::kExact}},
+               21);
+}
+
+TEST(StateAttestTable, MatchAgreesWithOracleLpm) {
+  differential({dataplane::KeySpec{{"ipv4", "dst"}, dataplane::MatchKind::kLpm, 16}},
+               22);
+}
+
+TEST(StateAttestTable, MatchAgreesWithOracleTernary) {
+  differential(
+      {dataplane::KeySpec{{"ipv4", "src"}, dataplane::MatchKind::kTernary},
+       dataplane::KeySpec{{"tcp", "dport"}, dataplane::MatchKind::kTernary}},
+      23);
+}
+
+TEST(StateAttestTable, MatchAgreesWithOracleMixed) {
+  differential(
+      {dataplane::KeySpec{{"meta", "ingress_port"}, dataplane::MatchKind::kExact},
+       dataplane::KeySpec{{"ipv4", "dst"}, dataplane::MatchKind::kLpm, 16},
+       dataplane::KeySpec{{"tcp", "dport"}, dataplane::MatchKind::kTernary}},
+      24);
 }
 
 TEST(StateAttestTable, MixedMatchTablesAreNotIndexed) {
@@ -217,12 +293,23 @@ TEST(StateAttestTable, MixedMatchTablesAreNotIndexed) {
 }
 
 TEST(StateAttestTable, IndexedLookupMissesWhenHeaderAbsent) {
-  dataplane::Table t("t", {dataplane::KeySpec{
-                              {"tcp", "dport"}, dataplane::MatchKind::kExact}});
+  auto prog = std::make_shared<dataplane::DataplaneProgram>(
+      "p", "v1", dataplane::standard_parser());
+  prog->add_action(dataplane::stdaction::forward());
+  dataplane::Table& t = prog->add_table(
+      "t", {dataplane::KeySpec{{"tcp", "dport"}, dataplane::MatchKind::kExact}});
   t.add_entry(exact_entry(443, 1));
-  dataplane::ParsedPacket pkt;  // no tcp header at all
-  EXPECT_EQ(t.lookup(pkt), nullptr);
-  EXPECT_EQ(t.lookup_scan(pkt), nullptr);
+  t.set_default("forward", {9});
+  ASSERT_TRUE(t.exact_indexed());
+  dataplane::PisaSwitch sw(prog);
+  dataplane::RawPacket arp;  // no tcp header at all
+  arp.data = dataplane::pack_header(dataplane::stdhdr::ethernet(),
+                                    {1, 2, 0x0806});
+  const auto out = sw.process(arp);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->port, 9u);
+  EXPECT_EQ(sw.stats().table_hits, 0u);
+  EXPECT_EQ(t.entries()[0].hit_count, 0u);
 }
 
 // --- RegisterFile: dirty-chunk incremental digests ------------------------
