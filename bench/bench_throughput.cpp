@@ -209,8 +209,8 @@ std::string record_json(const std::vector<CellResult>& cells,
             .boolean("cache", c.cache)
             .integer("batch", c.batch)
             .fixed("sim_packets_per_sec", c.report.sim_packets_per_sec, 1)
-            .integer("sim_latency_p50_ns", c.report.latency_percentile(0.50))
-            .integer("sim_latency_p99_ns", c.report.latency_percentile(0.99))
+            .integer("sim_latency_p50_ns", c.report.latency_p50)
+            .integer("sim_latency_p99_ns", c.report.latency_p99)
             .integer("sim_makespan_ns", c.report.makespan)
             .fixed("wall_packets_per_sec", c.wall_pps, 1)
             .integer("processed", c.report.processed())
@@ -327,8 +327,8 @@ int run_sweep(const SweepConfig& cfg) {
             "p50=%6lld ns  p99=%6lld ns  wall=%9.0f pps  flows=%zu\n",
             c.shards, c.cache ? "on" : "off", c.batch,
             c.report.sim_packets_per_sec,
-            static_cast<long long>(c.report.latency_percentile(0.50)),
-            static_cast<long long>(c.report.latency_percentile(0.99)),
+            static_cast<long long>(c.report.latency_p50),
+            static_cast<long long>(c.report.latency_p99),
             c.wall_pps, c.appraised_flows);
       }
     }

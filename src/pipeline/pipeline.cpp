@@ -33,14 +33,15 @@ AppraiserOptions appraiser_options(const PipelineOptions& options) {
   return ao;
 }
 
-}  // namespace
-
-netsim::SimTime PipelineReport::latency_percentile(double p) const {
-  if (latencies.empty()) return 0;
-  const double rank = p * static_cast<double>(latencies.size() - 1);
+netsim::SimTime percentile(const std::vector<netsim::SimTime>& sorted,
+                           double p) {
+  if (sorted.empty()) return 0;
+  const double rank = p * static_cast<double>(sorted.size() - 1);
   const std::size_t idx = static_cast<std::size_t>(rank + 0.5);
-  return latencies[std::min(idx, latencies.size() - 1)];
+  return sorted[std::min(idx, sorted.size() - 1)];
 }
+
+}  // namespace
 
 std::vector<crypto::Digest> PeraPipeline::shard_keys(
     const crypto::Digest& root_key, std::string_view label, std::size_t n) {
@@ -172,13 +173,16 @@ PipelineReport PeraPipeline::report() const {
   rep.pool_reused = pool_reused_;
   rep.pool_fresh = pool_fresh_;
   rep.makespan = dispatch_clock_;
+  std::vector<netsim::SimTime> latencies;
   for (const auto& w : workers_) {
     rep.shards.push_back(w->report());
     rep.makespan = std::max(rep.makespan, rep.shards.back().completion);
-    rep.latencies.insert(rep.latencies.end(), w->latencies().begin(),
-                         w->latencies().end());
+    latencies.insert(latencies.end(), w->latencies().begin(),
+                     w->latencies().end());
   }
-  std::sort(rep.latencies.begin(), rep.latencies.end());
+  std::sort(latencies.begin(), latencies.end());
+  rep.latency_p50 = percentile(latencies, 0.50);
+  rep.latency_p99 = percentile(latencies, 0.99);
   if (rep.makespan > 0) {
     rep.sim_packets_per_sec =
         static_cast<double>(rep.processed()) *
