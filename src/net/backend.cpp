@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <tuple>
 #include <utility>
 
@@ -15,24 +14,12 @@ namespace pera::net {
 
 namespace {
 
-std::int64_t wall_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-int remaining_ms(std::int64_t deadline_ns) {
-  const std::int64_t left = deadline_ns - wall_ns();
-  if (left <= 0) return 0;
-  return static_cast<int>(left / 1'000'000) + 1;
-}
+constexpr int kConnectTimeoutMs = 2000;
 
 }  // namespace
 
 SocketBackend::SocketBackend(Config config)
-    : config_(std::move(config)), nonces_(config_.nonce_seed) {
-  read_buf_.resize(64 * 1024);
-}
+    : config_(std::move(config)), nonces_(config_.nonce_seed) {}
 
 SocketBackend::~SocketBackend() { stop(); }
 
@@ -43,8 +30,8 @@ void SocketBackend::set_result_sink(
 
 bool SocketBackend::connect() {
   const std::int64_t deadline =
-      wall_ns() + std::int64_t(config_.connect_timeout_ms) * 1'000'000;
-  fd_ = connect_loopback_blocking(config_.port, config_.connect_timeout_ms);
+      mono_ns() + std::int64_t{kConnectTimeoutMs} * 1'000'000;
+  fd_ = connect_loopback_blocking(config_.port, kConnectTimeoutMs);
   if (!fd_.valid()) {
     error_ = "connect failed";
     return false;
@@ -67,62 +54,19 @@ bool SocketBackend::connect() {
   }
   session_ = std::make_unique<ClientSession>(std::move(sc), nonces_.issue());
   session_->start();
-  if (!handshake(deadline)) {
-    if (error_.empty()) error_ = session_->error_text();
+  const IoStatus st = pump_until(
+      fd_.get(), session_->outbox(), out_head_, deadline,
+      [this](crypto::BytesView chunk) { return session_->on_bytes(chunk); },
+      [this] { return session_->established() || session_->failed(); });
+  if (st != IoStatus::kOk || !session_->established()) {
+    error_ = session_->error_text().empty() ? to_string(st)
+                                            : session_->error_text();
     return false;
   }
   established_.store(true, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   loop_ = std::thread([this] { run_loop(); });
   PERA_OBS_COUNT("net.backend.connected");
-  return true;
-}
-
-bool SocketBackend::handshake(std::int64_t deadline_ns) {
-  while (!session_->established()) {
-    if (session_->failed()) return false;
-    if (!flush_blocking(deadline_ns)) return false;
-    pollfd p{fd_.get(), POLLIN, 0};
-    const int pr = ::poll(&p, 1, remaining_ms(deadline_ns));
-    if (pr <= 0) {
-      error_ = "handshake timeout";
-      return false;
-    }
-    const IoResult res = read_some(fd_.get(), read_buf_.data(),
-                                   read_buf_.size());
-    if (res.status == IoStatus::kWouldBlock) continue;
-    if (res.status != IoStatus::kOk) {
-      error_ = "connection closed during handshake";
-      return false;
-    }
-    if (!session_->on_bytes(crypto::BytesView{read_buf_.data(), res.bytes})) {
-      return false;
-    }
-  }
-  return flush_blocking(deadline_ns);
-}
-
-bool SocketBackend::flush_blocking(std::int64_t deadline_ns) {
-  crypto::Bytes& out = session_->outbox();
-  std::size_t head = 0;
-  while (head < out.size()) {
-    const IoSlice slice{out.data() + head, out.size() - head};
-    const IoResult res = write_vec(fd_.get(), &slice, 1);
-    if (res.status == IoStatus::kOk) {
-      head += res.bytes;
-      continue;
-    }
-    if (res.status != IoStatus::kWouldBlock) {
-      error_ = "write failed";
-      return false;
-    }
-    pollfd p{fd_.get(), POLLOUT, 0};
-    if (::poll(&p, 1, remaining_ms(deadline_ns)) <= 0) {
-      error_ = "write timeout";
-      return false;
-    }
-  }
-  out.clear();
   return true;
 }
 
@@ -150,7 +94,8 @@ void SocketBackend::stop() {
   }
   if (session_ && fd_.valid() && session_->established() && !conn_dead_) {
     session_->send_bye();
-    (void)flush_blocking(wall_ns() + 100'000'000);
+    (void)flush_until(fd_.get(), session_->outbox(), out_head_,
+                      mono_ns() + 100'000'000);
   }
   established_.store(false, std::memory_order_release);
   fd_.reset();
@@ -167,7 +112,7 @@ void SocketBackend::send_challenge(const std::string& place,
 void SocketBackend::schedule_in(netsim::SimTime delay,
                                 std::function<void()> fn) {
   Timer t;
-  t.at = wall_ns() + std::max<netsim::SimTime>(delay, 0);
+  t.at = mono_ns() + std::max<netsim::SimTime>(delay, 0);
   t.seq = next_timer_seq_++;
   t.fn = std::move(fn);
   timers_.push_back(std::move(t));
@@ -177,26 +122,20 @@ void SocketBackend::schedule_in(netsim::SimTime delay,
                  });
 }
 
-netsim::SimTime SocketBackend::now() { return wall_ns(); }
+netsim::SimTime SocketBackend::now() { return mono_ns(); }
 
 void SocketBackend::try_flush() {
   if (conn_dead_ || !session_) return;
-  crypto::Bytes& out = session_->outbox();
-  std::size_t head = 0;
-  while (head < out.size()) {
-    const IoSlice slice{out.data() + head, out.size() - head};
-    const IoResult res = write_vec(fd_.get(), &slice, 1);
-    if (res.status == IoStatus::kOk) {
-      head += res.bytes;
-      continue;
-    }
-    if (res.status == IoStatus::kWouldBlock) break;  // retry next loop pass
-    conn_dead_ = true;
-    established_.store(false, std::memory_order_release);
-    PERA_OBS_COUNT("net.backend.conn_lost");
-    break;
+  if (write_some(fd_.get(), session_->outbox(), out_head_).status ==
+      IoStatus::kError) {
+    lose_conn();
   }
-  out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(head));
+}
+
+void SocketBackend::lose_conn() {
+  conn_dead_ = true;
+  established_.store(false, std::memory_order_release);
+  PERA_OBS_COUNT("net.backend.conn_lost");
 }
 
 void SocketBackend::run_loop() {
@@ -205,19 +144,14 @@ void SocketBackend::run_loop() {
   };
   while (running_.load(std::memory_order_acquire)) {
     // Next timer bounds the poll; cap idle waits so stop() is prompt.
-    int timeout_ms = 200;
-    if (!timers_.empty()) {
-      const std::int64_t left = timers_.front().at - wall_ns();
-      timeout_ms = left <= 0
-                       ? 0
-                       : std::min<std::int64_t>(left / 1'000'000 + 1, 200);
-    }
+    const int timeout_ms =
+        timers_.empty() ? 200 : std::min(remaining_ms(timers_.front().at), 200);
     pollfd fds[2];
     fds[0] = {wake_fd_.get(), POLLIN, 0};
     nfds_t n = 1;
     if (!conn_dead_) {
       short events = POLLIN;
-      if (!session_->outbox().empty()) events |= POLLOUT;
+      if (session_->outbox().size() > out_head_) events |= POLLOUT;
       fds[1] = {fd_.get(), events, 0};
       n = 2;
     }
@@ -239,7 +173,7 @@ void SocketBackend::run_loop() {
     for (auto& t : tasks) t();
 
     // Due timers (retry/backoff from the transport).
-    const std::int64_t now_ts = wall_ns();
+    const std::int64_t now_ts = mono_ns();
     while (!timers_.empty() && timers_.front().at <= now_ts) {
       std::pop_heap(timers_.begin(), timers_.end(), timer_cmp);
       Timer t = std::move(timers_.back());
@@ -249,23 +183,10 @@ void SocketBackend::run_loop() {
 
     if (!conn_dead_ && n == 2 &&
         (fds[1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-      for (;;) {
-        const IoResult res =
-            read_some(fd_.get(), read_buf_.data(), read_buf_.size());
-        if (res.status == IoStatus::kWouldBlock) break;
-        if (res.status != IoStatus::kOk) {
-          conn_dead_ = true;
-          established_.store(false, std::memory_order_release);
-          PERA_OBS_COUNT("net.backend.conn_lost");
-          break;
-        }
-        if (!session_->on_bytes(
-                crypto::BytesView{read_buf_.data(), res.bytes})) {
-          conn_dead_ = true;
-          established_.store(false, std::memory_order_release);
-          break;
-        }
-        if (res.bytes < read_buf_.size()) break;
+      if (read_drain(fd_.get(), [this](crypto::BytesView chunk) {
+            return session_->on_bytes(chunk);
+          }) != IoStatus::kWouldBlock) {
+        lose_conn();
       }
       if (sink_) {
         for (ra::Certificate& cert : session_->take_results()) {

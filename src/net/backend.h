@@ -31,7 +31,6 @@ class SocketBackend final : public ctrl::TransportBackend {
     std::uint16_t port = 0;
     /// The relying party's claimed place (server-side session label).
     std::string place = "relying_party";
-    int connect_timeout_ms = 2000;
     /// Mutual mode: demand and verify the appraiser's counter-quote.
     bool mutual = false;
     crypto::Digest cert_key{};
@@ -80,10 +79,9 @@ class SocketBackend final : public ctrl::TransportBackend {
     std::function<void()> fn;
   };
 
-  bool handshake(std::int64_t deadline_ns);
-  bool flush_blocking(std::int64_t deadline_ns);
   void run_loop();
   void try_flush();
+  void lose_conn();
   void wake();
 
   Config config_;
@@ -92,6 +90,7 @@ class SocketBackend final : public ctrl::TransportBackend {
   Fd fd_;
   Fd wake_fd_;
   std::unique_ptr<ClientSession> session_;
+  std::size_t out_head_ = 0;  // written prefix of session_->outbox()
   std::thread loop_;
   std::atomic<bool> running_{false};
   std::atomic<bool> established_{false};
@@ -104,8 +103,6 @@ class SocketBackend final : public ctrl::TransportBackend {
   // Loop-thread-only timer min-heap (by at, then seq).
   std::vector<Timer> timers_;
   std::uint64_t next_timer_seq_ = 0;
-
-  std::vector<std::uint8_t> read_buf_;
 };
 
 }  // namespace pera::net

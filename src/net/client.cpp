@@ -1,9 +1,7 @@
 #include "net/client.h"
 
-#include <poll.h>
 #include <sys/epoll.h>
 
-#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -14,16 +12,11 @@ namespace pera::net {
 
 namespace {
 
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+// Connects in flight at once during SwitchFleet's connect storm.
+constexpr std::size_t kConnectBurst = 256;
 
-int remaining_ms(std::int64_t deadline_ns) {
-  const std::int64_t left = deadline_ns - now_ns();
-  if (left <= 0) return 0;
-  return static_cast<int>(left / 1'000'000) + 1;
+std::int64_t deadline_after(int timeout_ms) {
+  return mono_ns() + std::int64_t{timeout_ms} * 1'000'000;
 }
 
 }  // namespace
@@ -60,7 +53,7 @@ const std::string& SwitchClient::error_text() const {
 }
 
 bool SwitchClient::connect(std::uint16_t port, int timeout_ms) {
-  const std::int64_t deadline = now_ns() + std::int64_t(timeout_ms) * 1'000'000;
+  const std::int64_t deadline = deadline_after(timeout_ms);
   fd_ = connect_loopback_blocking(port, timeout_ms);
   if (!fd_.valid()) {
     error_ = "connect failed";
@@ -85,95 +78,59 @@ bool SwitchClient::connect(std::uint16_t port, int timeout_ms) {
   };
   session_ = std::make_unique<ClientSession>(std::move(config),
                                              nonces_.issue());
+  out_head_ = 0;
   session_->start();
-  if (!flush(remaining_ms(deadline))) return false;
-  while (!session_->established()) {
-    if (session_->failed() || remaining_ms(deadline) == 0) return false;
-    if (!pump(remaining_ms(deadline))) return false;
-  }
-  return true;
+  return pump(deadline, [this] {
+           return session_->established() || session_->failed();
+         }) &&
+         session_->established();
 }
 
-bool SwitchClient::flush(int timeout_ms) {
-  const std::int64_t deadline = now_ns() + std::int64_t(timeout_ms) * 1'000'000;
-  crypto::Bytes& out = session_->outbox();
-  std::size_t head = 0;
-  while (head < out.size()) {
-    const IoSlice slice{out.data() + head, out.size() - head};
-    const IoResult res = write_vec(fd_.get(), &slice, 1);
-    if (res.status == IoStatus::kOk) {
-      head += res.bytes;
-      continue;
-    }
-    if (res.status != IoStatus::kWouldBlock) {
-      error_ = "write failed";
-      return false;
-    }
-    pollfd p{fd_.get(), POLLOUT, 0};
-    const int pr = ::poll(&p, 1, remaining_ms(deadline));
-    if (pr <= 0) {
-      error_ = "write timeout";
-      return false;
-    }
-  }
-  out.clear();
-  return true;
-}
-
-bool SwitchClient::pump(int timeout_ms) {
-  if (!flush(timeout_ms)) return false;
-  pollfd p{fd_.get(), POLLIN, 0};
-  const int pr = ::poll(&p, 1, timeout_ms);
-  if (pr <= 0) return true;  // nothing arrived; caller re-checks deadline
-  std::uint8_t buf[16 * 1024];
-  const IoResult res = read_some(fd_.get(), buf, sizeof(buf));
-  if (res.status == IoStatus::kWouldBlock) return true;
-  if (res.status != IoStatus::kOk) {
-    error_ = "connection closed";
-    return false;
-  }
-  if (!session_->on_bytes(crypto::BytesView{buf, res.bytes})) return false;
-  return flush(timeout_ms);
+bool SwitchClient::pump(std::int64_t deadline_ns,
+                        const std::function<bool()>& done) {
+  const IoStatus st = pump_until(
+      fd_.get(), session_->outbox(), out_head_, deadline_ns,
+      [this](crypto::BytesView chunk) { return session_->on_bytes(chunk); },
+      done);
+  if (st != IoStatus::kOk) error_ = to_string(st);
+  return st == IoStatus::kOk;
 }
 
 std::optional<ra::Certificate> SwitchClient::round(int timeout_ms) {
   if (!established()) return std::nullopt;
-  const std::int64_t deadline = now_ns() + std::int64_t(timeout_ms) * 1'000'000;
+  const std::int64_t deadline = deadline_after(timeout_ms);
   const crypto::Nonce nonce = nonces_.issue();
   const crypto::Bytes evidence = make_signed_evidence(
       identity_.place, identity_.measurement, nonce, *device_signer_);
   session_->send_evidence(nonce,
                           crypto::BytesView{evidence.data(), evidence.size()});
-  if (!flush(remaining_ms(deadline))) return std::nullopt;
-  for (;;) {
+  std::optional<ra::Certificate> got;
+  (void)pump(deadline, [&] {
     for (ra::Certificate& cert : session_->take_results()) {
-      if (cert.nonce.value == nonce.value) return cert;
+      if (cert.nonce.value == nonce.value) got = std::move(cert);
     }
-    if (remaining_ms(deadline) == 0) return std::nullopt;
-    if (!pump(remaining_ms(deadline))) return std::nullopt;
-  }
+    return got.has_value();
+  });
+  return got;
 }
 
 std::size_t SwitchClient::serve(int deadline_ms,
                                 const std::atomic<bool>* stop) {
   if (!established()) return 0;
-  const std::int64_t deadline = now_ns() +
-                                std::int64_t(deadline_ms) * 1'000'000;
   const std::uint64_t before = session_->challenges_answered();
-  while (remaining_ms(deadline) > 0) {
-    if (stop != nullptr && stop->load(std::memory_order_acquire)) break;
-    const int slice = std::min(remaining_ms(deadline), 50);
-    if (!pump(slice)) break;
-    // Results stay queued on the session — relayed rounds' certificates go
-    // to the relying party, so anything here is the caller's to collect.
-  }
+  // Results stay queued on the session — relayed rounds' certificates go
+  // to the relying party, so anything here is the caller's to collect.
+  (void)pump(deadline_after(deadline_ms), [stop] {
+    return stop != nullptr && stop->load(std::memory_order_acquire);
+  });
   return session_->challenges_answered() - before;
 }
 
 void SwitchClient::close() {
   if (session_ && fd_.valid() && session_->established()) {
     session_->send_bye();
-    (void)flush(100);
+    (void)flush_until(fd_.get(), session_->outbox(), out_head_,
+                      deadline_after(100));
   }
   fd_.reset();
 }
@@ -187,8 +144,7 @@ struct SwitchFleet::FleetConn {
   std::unique_ptr<crypto::Signer> quote_signer;
   crypto::Signer* device_signer = nullptr;
   std::unique_ptr<ClientSession> session;
-  crypto::Bytes outq;
-  std::size_t out_head = 0;
+  std::size_t out_head = 0;  // written prefix of session->outbox()
   crypto::Bytes evidence;  // pre-signed; reused every round (flow idiom)
   std::deque<std::int64_t> inflight;  // send timestamps, FIFO per conn
   std::uint32_t interest = 0;
@@ -203,7 +159,6 @@ SwitchFleet::SwitchFleet(Config config) : config_(std::move(config)) {
   for (const crypto::Digest& key : config_.device_keys) {
     signers_.push_back(std::make_unique<crypto::HmacSigner>(key));
   }
-  read_buf_.resize(64 * 1024);
 }
 
 SwitchFleet::~SwitchFleet() { shutdown(); }
@@ -218,7 +173,9 @@ std::size_t SwitchFleet::established_count() const {
 
 void SwitchFleet::update_interest(FleetConn& c) {
   std::uint32_t want = EPOLLIN;
-  if (!c.connected || c.out_head < c.outq.size()) want |= EPOLLOUT;
+  if (!c.connected || c.out_head < c.session->outbox().size()) {
+    want |= EPOLLOUT;
+  }
   if (want == c.interest) return;
   epoll_event ev{};
   ev.events = want;
@@ -236,54 +193,27 @@ void SwitchFleet::drop(FleetConn& c) {
 }
 
 void SwitchFleet::pump_writes(FleetConn& c) {
-  // Stage the session's queued frames, then write as much as the socket
-  // takes.
-  crypto::Bytes& outbox = c.session->outbox();
-  if (!outbox.empty()) {
-    if (c.out_head == c.outq.size()) {
-      c.outq.clear();
-      c.out_head = 0;
-    }
-    c.outq.insert(c.outq.end(), outbox.begin(), outbox.end());
-    outbox.clear();
-  }
-  while (c.out_head < c.outq.size()) {
-    const IoSlice slice{c.outq.data() + c.out_head,
-                        c.outq.size() - c.out_head};
-    const IoResult res = write_vec(c.fd.get(), &slice, 1);
-    if (res.status == IoStatus::kWouldBlock) break;
-    if (res.status != IoStatus::kOk) {
-      drop(c);
-      return;
-    }
-    c.out_head += res.bytes;
-  }
-  if (c.out_head == c.outq.size()) {
-    c.outq.clear();
-    c.out_head = 0;
+  if (write_some(c.fd.get(), c.session->outbox(), c.out_head).status ==
+      IoStatus::kError) {
+    drop(c);
+    return;
   }
   update_interest(c);
 }
 
 bool SwitchFleet::read_into(FleetConn& c) {
-  for (;;) {
-    const IoResult res =
-        read_some(c.fd.get(), read_buf_.data(), read_buf_.size());
-    if (res.status == IoStatus::kWouldBlock) return true;
-    if (res.status != IoStatus::kOk) {
-      drop(c);
-      return false;
-    }
-    if (!c.session->on_bytes(crypto::BytesView{read_buf_.data(), res.bytes})) {
-      drop(c);
-      return false;
-    }
-    if (res.bytes < read_buf_.size()) return true;
+  // EOF, a socket error or bytes the session rejects lose the connection.
+  if (read_drain(c.fd.get(), [&c](crypto::BytesView chunk) {
+        return c.session->on_bytes(chunk);
+      }) != IoStatus::kWouldBlock) {
+    drop(c);
+    return false;
   }
+  return true;
 }
 
 std::size_t SwitchFleet::establish(int timeout_ms) {
-  const std::int64_t deadline = now_ns() + std::int64_t(timeout_ms) * 1'000'000;
+  const std::int64_t deadline = deadline_after(timeout_ms);
   ensure_fd_limit(config_.connections + 256);
 
   conns_.reserve(config_.connections);
@@ -316,7 +246,7 @@ std::size_t SwitchFleet::establish(int timeout_ms) {
     return true;
   };
 
-  for (std::size_t i = 0; i < config_.connect_burst; ++i) {
+  for (std::size_t i = 0; i < kConnectBurst; ++i) {
     if (!launch_next()) break;
   }
 
@@ -413,15 +343,15 @@ void SwitchFleet::send_round(FleetConn& c) {
   nonce.value.v[15] = 0xE1;
   const std::uint64_t idx = c.idx;
   std::memcpy(nonce.value.v.data() + 16, &idx, sizeof(idx));
-  c.inflight.push_back(now_ns());
+  c.inflight.push_back(mono_ns());
   c.session->send_evidence(
       nonce, crypto::BytesView{c.evidence.data(), c.evidence.size()});
 }
 
 SwitchFleet::RunStats SwitchFleet::run_rounds(std::uint64_t total_rounds,
                                               int timeout_ms) {
-  const std::int64_t deadline = now_ns() + std::int64_t(timeout_ms) * 1'000'000;
-  const std::int64_t t0 = now_ns();
+  const std::int64_t deadline = deadline_after(timeout_ms);
+  const std::int64_t t0 = mono_ns();
   run_stats_ = RunStats{};
   run_stats_.established = established_count();
   run_stats_.latency_us.reserve(
@@ -461,7 +391,7 @@ SwitchFleet::RunStats SwitchFleet::run_rounds(std::uint64_t total_rounds,
       if (c.dead) continue;
       if ((events[i].events & EPOLLIN) != 0) {
         if (!read_into(c)) continue;
-        const std::int64_t t_now = now_ns();
+        const std::int64_t t_now = mono_ns();
         for (ra::Certificate& cert : c.session->take_results()) {
           if (!c.inflight.empty()) {
             const std::int64_t sent_at = c.inflight.front();
@@ -480,7 +410,7 @@ SwitchFleet::RunStats SwitchFleet::run_rounds(std::uint64_t total_rounds,
       }
     }
   }
-  run_stats_.wall_ns = now_ns() - t0;
+  run_stats_.wall_ns = mono_ns() - t0;
   run_stats_.established = established_count();
   return run_stats_;
 }

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -91,8 +92,9 @@ class SwitchClient {
   [[nodiscard]] ClientSession* session() { return session_.get(); }
 
  private:
-  bool flush(int timeout_ms);
-  bool pump(int timeout_ms);  // flush + read once; false on close/error
+  // pump_until() on this session; false (with error_ set) unless done()
+  // came true before the deadline.
+  bool pump(std::int64_t deadline_ns, const std::function<bool()>& done);
 
   ClientIdentity identity_;
   std::unique_ptr<crypto::Signer> quote_signer_;
@@ -100,6 +102,7 @@ class SwitchClient {
   crypto::NonceRegistry nonces_;
   Fd fd_;
   std::unique_ptr<ClientSession> session_;
+  std::size_t out_head_ = 0;  // written prefix of session_->outbox()
   std::string error_;
 };
 
@@ -120,8 +123,6 @@ class SwitchFleet {
     bool mutual = false;
     crypto::Digest cert_key{};
     crypto::Digest appraiser_golden{};
-    /// Accept()s outstanding at once during the connect storm.
-    std::size_t connect_burst = 256;
   };
 
   struct RunStats {
@@ -166,7 +167,6 @@ class SwitchFleet {
   Fd epoll_;
   std::vector<std::unique_ptr<FleetConn>> conns_;
   std::vector<std::unique_ptr<crypto::Signer>> signers_;  // per device key
-  std::vector<std::uint8_t> read_buf_;
   std::uint64_t next_nonce_ = 1;
   RunStats run_stats_;
 };

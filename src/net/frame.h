@@ -52,8 +52,9 @@ struct Frame {
   crypto::Bytes payload;
 };
 
-/// Append one encoded frame to `out` (the write-side primitive — callers
-/// batch several frames into one buffer and writev them together).
+/// Append one encoded frame to `out` (the write-side primitive — sessions
+/// queue frames back to back in their outbox, and the driver sends the
+/// whole run with one write_some()).
 void append_frame(crypto::Bytes& out, FrameType type,
                   crypto::BytesView payload);
 

@@ -17,11 +17,10 @@ namespace pera::net {
 
 namespace {
 
-std::int64_t wall_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+// Backpressure: pause a connection's reads above this many unwritten
+// outbox bytes, resume below the low-water mark.
+constexpr std::size_t kWriteBufferLimit = 1 << 20;
+constexpr std::size_t kWriteBufferResume = 256 * 1024;
 
 }  // namespace
 
@@ -45,13 +44,11 @@ struct AppraiserServer::Conn {
   Fd fd;
   std::uint64_t token = 0;
   ServerSession session;
-  std::deque<crypto::Bytes> outq;
-  std::size_t out_head = 0;   // consumed prefix of outq.front()
-  std::size_t out_bytes = 0;  // total buffered (minus out_head)
+  std::size_t out_head = 0;  // written prefix of session.outbox()
   std::uint64_t next_seq = 0;
   std::uint32_t interest = 0;
   bool reads_paused = false;
-  bool closing = false;        // close once outq drains
+  bool closing = false;        // close once the outbox drains
   bool place_registered = false;
   bool reject_counted = false;
   bool counted_open = false;
@@ -68,7 +65,6 @@ struct AppraiserServer::Reactor {
   std::unique_ptr<crypto::Signer> cert_signer;
   std::mutex inbox_mu;
   std::vector<Inbound> inbox;
-  std::vector<std::uint8_t> read_buf;
 };
 
 AppraiserServer::AppraiserServer(ServerConfig config)
@@ -76,9 +72,6 @@ AppraiserServer::AppraiserServer(ServerConfig config)
   if (config_.reactors == 0) config_.reactors = 1;
   if (config_.reactors > 255) config_.reactors = 255;
   if (config_.appraiser_workers == 0) config_.appraiser_workers = 1;
-  if (config_.write_buffer_resume > config_.write_buffer_limit) {
-    config_.write_buffer_resume = config_.write_buffer_limit / 2;
-  }
 }
 
 AppraiserServer::~AppraiserServer() { stop(); }
@@ -153,7 +146,6 @@ void AppraiserServer::start() {
     r->wake = Fd(::eventfd(0, EFD_NONBLOCK));
     if (!r->wake.valid()) throw std::runtime_error("eventfd failed");
     r->cert_signer = std::make_unique<crypto::HmacSigner>(config_.cert_key);
-    r->read_buf.resize(64 * 1024);
 
     epoll_event ev{};
     ev.events = EPOLLIN;
@@ -259,8 +251,8 @@ void AppraiserServer::run_reactor(std::size_t idx) {
         close_conn(r, token);
         continue;
       }
-      if ((events[i].events & EPOLLOUT) != 0) conn_writable(r, c);
-      // conn_writable can close on write error — re-check liveness.
+      if ((events[i].events & EPOLLOUT) != 0) flush_writes(r, c);
+      // flush_writes can close on write error — re-check liveness.
       if (r.conns.find(token) == r.conns.end()) continue;
       if ((events[i].events & EPOLLIN) != 0) conn_readable(r, c);
     }
@@ -348,7 +340,7 @@ void AppraiserServer::drain_inbox(Reactor& r) {
         cert.nonce = item.nonce;
         cert.evidence_digest = item.evidence_digest;
         cert.verdict = item.verdict;
-        cert.issued_at = wall_ns();
+        cert.issued_at = mono_ns();
         cert.sig = r.cert_signer->sign(cert.signing_payload());
         it->second->session.queue_result(cert);
         results_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -369,28 +361,20 @@ void AppraiserServer::drain_inbox(Reactor& r) {
 
 void AppraiserServer::conn_readable(Reactor& r, Conn& c) {
   if (c.reads_paused || c.closing) return;
-  const std::uint64_t token = c.token;
-  for (;;) {
-    const IoResult res =
-        read_some(c.fd.get(), r.read_buf.data(), r.read_buf.size());
-    if (res.status == IoStatus::kWouldBlock) break;
-    if (res.status == IoStatus::kClosed || res.status == IoStatus::kError) {
-      close_conn(r, token);
-      return;
-    }
-    bytes_in_.fetch_add(res.bytes, std::memory_order_relaxed);
-    const bool ok = c.session.on_bytes(
-        crypto::BytesView{r.read_buf.data(), res.bytes});
-    if (!ok) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      c.closing = true;  // flush whatever the session queued (reject ack)
-      break;
-    }
-    if (c.session.wants_close()) {
-      c.closing = true;
-      break;
-    }
-    if (res.bytes < r.read_buf.size()) break;  // drained the socket
+  const IoStatus st =
+      read_drain(c.fd.get(), [&](crypto::BytesView chunk) {
+        bytes_in_.fetch_add(chunk.size(), std::memory_order_relaxed);
+        if (!c.session.on_bytes(chunk)) {
+          protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+          c.closing = true;  // flush whatever the session queued (reject ack)
+        } else if (c.session.wants_close()) {
+          c.closing = true;
+        }
+        return !c.closing;
+      });
+  if (st == IoStatus::kClosed || st == IoStatus::kError) {
+    close_conn(r, c.token);
+    return;
   }
   after_progress(r, c);
 }
@@ -455,75 +439,35 @@ void AppraiserServer::after_progress(Reactor& r, Conn& c) {
     post(switch_token >> kTokenReactorShift, std::move(item));
   }
 
-  // 4. Move queued frames to the write queue and flush what we can.
-  crypto::Bytes& outbox = c.session.outbox();
-  if (!outbox.empty()) {
-    c.out_bytes += outbox.size();
-    c.outq.push_back(std::move(outbox));
-    outbox.clear();
-  }
+  // 4. Write what the session queued.
   flush_writes(r, c);
 }
 
 void AppraiserServer::flush_writes(Reactor& r, Conn& c) {
-  const std::uint64_t token = c.token;
-  while (!c.outq.empty()) {
-    constexpr std::size_t kMaxSlices = 64;
-    IoSlice slices[kMaxSlices];
-    std::size_t n = 0;
-    for (const crypto::Bytes& chunk : c.outq) {
-      if (n == kMaxSlices) break;
-      const std::size_t off = (n == 0) ? c.out_head : 0;
-      slices[n].data = chunk.data() + off;
-      slices[n].len = chunk.size() - off;
-      ++n;
-    }
-    const IoResult res = write_vec(c.fd.get(), slices, n);
-    if (res.status == IoStatus::kWouldBlock) break;
-    if (res.status != IoStatus::kOk) {
-      close_conn(r, token);
-      return;
-    }
-    bytes_out_.fetch_add(res.bytes, std::memory_order_relaxed);
-    c.out_bytes -= res.bytes;
-    std::size_t consumed = res.bytes;
-    while (consumed > 0 && !c.outq.empty()) {
-      crypto::Bytes& front = c.outq.front();
-      const std::size_t left = front.size() - c.out_head;
-      if (consumed >= left) {
-        consumed -= left;
-        c.out_head = 0;
-        c.outq.pop_front();
-      } else {
-        c.out_head += consumed;
-        consumed = 0;
-      }
-    }
-  }
-  if (c.outq.empty() && c.closing) {
-    close_conn(r, token);
+  crypto::Bytes& out = c.session.outbox();
+  const IoResult res = write_some(c.fd.get(), out, c.out_head);
+  if (res.bytes > 0) bytes_out_.fetch_add(res.bytes, std::memory_order_relaxed);
+  const std::size_t owed = out.size() - c.out_head;
+  if (res.status == IoStatus::kError || (owed == 0 && c.closing)) {
+    close_conn(r, c.token);
     return;
   }
   // Backpressure: a peer that stops reading gets its own reads paused
   // until it drains what we already owe it.
-  if (!c.reads_paused && c.out_bytes > config_.write_buffer_limit) {
+  if (!c.reads_paused && owed > kWriteBufferLimit) {
     c.reads_paused = true;
     read_pauses_.fetch_add(1, std::memory_order_relaxed);
     PERA_OBS_COUNT("net.server.read_pause");
-  } else if (c.reads_paused && c.out_bytes < config_.write_buffer_resume) {
+  } else if (c.reads_paused && owed < kWriteBufferResume) {
     c.reads_paused = false;
   }
   update_interest(r, c);
 }
 
-void AppraiserServer::conn_writable(Reactor& r, Conn& c) {
-  flush_writes(r, c);
-}
-
 void AppraiserServer::update_interest(Reactor& r, Conn& c) {
   std::uint32_t want = 0;
   if (!c.reads_paused && !c.closing) want |= EPOLLIN;
-  if (!c.outq.empty()) want |= EPOLLOUT;
+  if (c.session.outbox().size() > c.out_head) want |= EPOLLOUT;
   if (want == c.interest) return;
   epoll_event ev{};
   ev.events = want;
@@ -569,10 +513,10 @@ ServerStats AppraiserServer::stats() const {
 }
 
 bool AppraiserServer::wait_for_rounds(std::uint64_t n, int timeout_ms) const {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
+  const std::int64_t deadline =
+      mono_ns() + std::int64_t{timeout_ms} * 1'000'000;
   while (rounds_appraised_.load(std::memory_order_acquire) < n) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
+    if (remaining_ms(deadline) == 0) return false;
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   return true;

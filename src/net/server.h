@@ -23,16 +23,16 @@
 //    the owning reactor's inbox, where the certificate is signed and
 //    queued on the originating session — or on the relying-party session
 //    whose relayed challenge produced the evidence.
-//  * Writes are buffered per connection (deque of byte chunks, flushed
-//    with writev). A connection whose buffered output exceeds
-//    write_buffer_limit has EPOLLIN paused until the peer drains it
-//    below write_buffer_resume — slow readers stall themselves, not the
-//    server.
+//  * Each connection's only write buffer is its session's outbox,
+//    written with write_some() (socket.h); a short write leaves the rest
+//    there and arms EPOLLOUT. A connection owing more than 1 MiB of
+//    unwritten outbox has EPOLLIN paused until the peer drains it below
+//    256 KiB — slow readers stall themselves, not the server. A peer
+//    that vanished mid-write closes its connection, nothing more.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -53,10 +53,6 @@ struct ServerConfig {
   std::size_t reactors = 1;
   std::size_t appraiser_workers = 1;
   std::size_t max_sessions = 1 << 15;
-  /// Pause reads above this many buffered outbound bytes per connection…
-  std::size_t write_buffer_limit = 1 << 20;
-  /// …resume below this.
-  std::size_t write_buffer_resume = 256 * 1024;
   std::string appraiser_name = "appraiser";
   std::uint64_t nonce_seed = 0xC0C0'0001;
 
@@ -134,7 +130,6 @@ class AppraiserServer {
   void adopt_conn(Reactor& r, int fd);
   void drain_inbox(Reactor& r);
   void conn_readable(Reactor& r, Conn& c);
-  void conn_writable(Reactor& r, Conn& c);
   void after_progress(Reactor& r, Conn& c);
   void flush_writes(Reactor& r, Conn& c);
   void update_interest(Reactor& r, Conn& c);

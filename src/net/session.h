@@ -73,7 +73,9 @@ class ServerSession {
   /// should flush the outbox, then drop the connection).
   bool on_bytes(crypto::BytesView data);
 
-  /// Frames queued for the peer. The driver writes and clears this.
+  /// Frames queued for the peer: the connection's only write buffer.
+  /// The driver sends it with write_some() (socket.h), which erases what
+  /// was written.
   [[nodiscard]] crypto::Bytes& outbox() { return outbox_; }
 
   /// Queue a signed result for the peer.

@@ -7,10 +7,11 @@
 #include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -31,7 +32,37 @@ sockaddr_in loopback_addr(std::uint16_t port) {
                            std::strerror(errno));  // NOLINT(concurrency-mt-unsafe)
 }
 
+// A failed read/send: the socket is full (or empty), or the connection
+// is gone.
+IoStatus errno_status() {
+  return (errno == EAGAIN || errno == EWOULDBLOCK) ? IoStatus::kWouldBlock
+                                                   : IoStatus::kError;
+}
+
 }  // namespace
+
+std::int64_t mono_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+int remaining_ms(std::int64_t deadline_ns) {
+  const std::int64_t left = deadline_ns - mono_ns();
+  if (left <= 0) return 0;
+  return static_cast<int>(left / 1'000'000) + 1;
+}
+
+const char* to_string(IoStatus s) {
+  switch (s) {
+    case IoStatus::kOk: return "ok";
+    case IoStatus::kWouldBlock: return "would block";
+    case IoStatus::kClosed: return "connection closed";
+    case IoStatus::kError: return "connection error";
+    case IoStatus::kTimeout: return "timeout";
+  }
+  return "?";
+}
 
 void Fd::reset() {
   if (fd_ >= 0) {
@@ -109,35 +140,77 @@ Fd connect_loopback_blocking(std::uint16_t port, int timeout_ms) {
   return fd;
 }
 
-IoResult read_some(int fd, std::uint8_t* buf, std::size_t buf_len) {
+IoStatus read_drain(int fd,
+                    const std::function<bool(crypto::BytesView)>& on_chunk) {
+  std::uint8_t buf[64 * 1024];
   for (;;) {
-    const ssize_t n = ::read(fd, buf, buf_len);
-    if (n > 0) return {IoStatus::kOk, static_cast<std::size_t>(n)};
-    if (n == 0) return {IoStatus::kClosed, 0};
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return {IoStatus::kWouldBlock, 0};
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n == 0) return IoStatus::kClosed;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errno_status();
     }
-    return {IoStatus::kError, 0};
+    const auto got = static_cast<std::size_t>(n);
+    if (!on_chunk(crypto::BytesView{buf, got})) return IoStatus::kOk;
+    if (got < sizeof(buf)) return IoStatus::kWouldBlock;
   }
 }
 
-IoResult write_vec(int fd, const IoSlice* iov, std::size_t n) {
-  constexpr std::size_t kMaxIov = 64;
-  iovec vec[kMaxIov];
-  const std::size_t count = n < kMaxIov ? n : kMaxIov;
-  for (std::size_t i = 0; i < count; ++i) {
-    vec[i].iov_base = const_cast<std::uint8_t*>(iov[i].data);
-    vec[i].iov_len = iov[i].len;
-  }
-  for (;;) {
-    const ssize_t w = ::writev(fd, vec, static_cast<int>(count));
-    if (w >= 0) return {IoStatus::kOk, static_cast<std::size_t>(w)};
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return {IoStatus::kWouldBlock, 0};
+IoResult write_some(int fd, crypto::Bytes& out, std::size_t& head) {
+  IoResult res;
+  while (head < out.size()) {
+    const ssize_t w =
+        ::send(fd, out.data() + head, out.size() - head, MSG_NOSIGNAL);
+    if (w >= 0) {
+      head += static_cast<std::size_t>(w);
+      res.bytes += static_cast<std::size_t>(w);
+      continue;
     }
-    return {IoStatus::kError, 0};
+    if (errno == EINTR) continue;
+    res.status = errno_status();
+    break;
+  }
+  if (head == out.size()) {
+    out.clear();
+    head = 0;
+  } else if (head >= out.size() - head) {
+    out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  return res;
+}
+
+IoStatus flush_until(int fd, crypto::Bytes& out, std::size_t& head,
+                     std::int64_t deadline_ns) {
+  for (;;) {
+    const IoStatus st = write_some(fd, out, head).status;
+    if (st != IoStatus::kWouldBlock) return st;
+    pollfd p{fd, POLLOUT, 0};
+    if (::poll(&p, 1, remaining_ms(deadline_ns)) <= 0) {
+      return IoStatus::kTimeout;
+    }
+  }
+}
+
+IoStatus pump_until(int fd, crypto::Bytes& out, std::size_t& head,
+                    std::int64_t deadline_ns,
+                    const std::function<bool(crypto::BytesView)>& on_chunk,
+                    const std::function<bool()>& done) {
+  for (;;) {
+    if (write_some(fd, out, head).status == IoStatus::kError) {
+      return IoStatus::kError;
+    }
+    const bool owed = head < out.size();
+    if (!owed && done()) return IoStatus::kOk;
+    const int wait = remaining_ms(deadline_ns);
+    if (wait == 0) return IoStatus::kTimeout;
+    // Read while waiting to write too: a peer that pauses its own reads
+    // until we drain what it owes us would otherwise never take ours.
+    pollfd p{fd, static_cast<short>(owed ? POLLIN | POLLOUT : POLLIN), 0};
+    if (::poll(&p, 1, std::min(wait, 50)) <= 0) continue;
+    const IoStatus st = read_drain(fd, on_chunk);
+    if (st == IoStatus::kOk) return IoStatus::kError;  // input rejected
+    if (st != IoStatus::kWouldBlock) return st;
   }
 }
 

@@ -1,9 +1,13 @@
-// Thin POSIX socket layer under the reactor: RAII fd ownership,
-// nonblocking loopback listen/connect, and the read/writev wrappers the
-// event loop uses. No protocol knowledge lives here.
+// Thin POSIX socket layer under every transport driver: RAII fd
+// ownership, nonblocking loopback listen/connect, the transport's clock,
+// and its one I/O path — write_some() (the only place session bytes reach
+// a socket; a vanished peer is an error, never SIGPIPE), the blocking
+// flush_until()/pump_until() built on it, and read_drain(). No protocol
+// knowledge lives here.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -67,29 +71,61 @@ bool set_nonblocking(int fd);
 /// Disable Nagle (best effort).
 void set_nodelay(int fd);
 
+/// Monotonic nanoseconds (steady clock): deadlines, timers, latencies.
+[[nodiscard]] std::int64_t mono_ns();
+
+/// Milliseconds left until `deadline_ns` (rounded up; 0 once passed) —
+/// the timeout to hand poll()/epoll_wait().
+[[nodiscard]] int remaining_ms(std::int64_t deadline_ns);
+
 enum class IoStatus : std::uint8_t {
-  kOk,        // made progress
-  kWouldBlock,
-  kClosed,    // orderly EOF (reads only)
+  kOk,          // made progress / done
+  kWouldBlock,  // the socket cannot take or give more right now
+  kClosed,      // orderly EOF (reads only)
   kError,
+  kTimeout,     // deadline passed (blocking helpers only)
 };
+
+[[nodiscard]] const char* to_string(IoStatus s);
 
 struct IoResult {
   IoStatus status = IoStatus::kOk;
   std::size_t bytes = 0;
 };
 
-/// Read once into `buf` (up to buf_len). kOk means bytes > 0.
-[[nodiscard]] IoResult read_some(int fd, std::uint8_t* buf,
-                                 std::size_t buf_len);
+/// Read until the socket is drained, handing each chunk (at most 64 KiB,
+/// valid only during the call) to `on_chunk`. A short read ends the
+/// drain: the socket was emptied. Returns kWouldBlock once drained, kOk
+/// when `on_chunk` returned false (the consumer stopped the drain),
+/// kClosed or kError when the socket did.
+[[nodiscard]] IoStatus read_drain(
+    int fd, const std::function<bool(crypto::BytesView)>& on_chunk);
 
-/// writev the byte ranges in `iov` (built by the caller from its write
-/// queue); partial writes return kOk with the short count.
-struct IoSlice {
-  const std::uint8_t* data = nullptr;
-  std::size_t len = 0;
-};
-[[nodiscard]] IoResult write_vec(int fd, const IoSlice* iov, std::size_t n);
+/// Nonblocking: write as much of `out[head..]` as the socket accepts,
+/// advancing `head`. The written prefix is erased once `out` drains, or
+/// once it is at least half of `out`, so a slow reader costs amortised
+/// O(1) per byte. Returns kOk when everything is written, kWouldBlock
+/// when bytes remain, kError when the connection is gone (EPIPE and
+/// ECONNRESET included — no SIGPIPE is raised). `bytes` is what was
+/// written by this call.
+[[nodiscard]] IoResult write_some(int fd, crypto::Bytes& out,
+                                  std::size_t& head);
+
+/// Blocking: write_some() and poll for writability until `out` drains.
+/// kOk, kError or kTimeout.
+[[nodiscard]] IoStatus flush_until(int fd, crypto::Bytes& out,
+                                   std::size_t& head, std::int64_t deadline_ns);
+
+/// Blocking request/response loop: write `out` and read_drain() input
+/// into `on_chunk` (which may queue more bytes on `out`) until `out` is
+/// written and `done()` holds. Waits are sliced so `done()` is re-checked
+/// at least every 50 ms (it may watch a stop flag). kOk when done, kError
+/// when `on_chunk` rejects input or the socket fails, kClosed on EOF,
+/// kTimeout at the deadline.
+[[nodiscard]] IoStatus pump_until(
+    int fd, crypto::Bytes& out, std::size_t& head, std::int64_t deadline_ns,
+    const std::function<bool(crypto::BytesView)>& on_chunk,
+    const std::function<bool()>& done);
 
 /// Best-effort bump of RLIMIT_NOFILE to at least `want` descriptors
 /// (capped at the hard limit). Returns the resulting soft limit.

@@ -6,12 +6,19 @@
 // concurrent fleet, challenge relay through a relying-party session, and
 // the Sim-vs-Socket verdict identity check (the same evidence bytes get
 // the same verdict from the in-process appraiser and over the wire).
+// Below those: the one socket write/read path (short writes, closed
+// peers), server backpressure on a peer that stops reading, and a fleet
+// of switches that vanish while certificates are still owed.
 #include <gtest/gtest.h>
 
 #include <poll.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
+#include <cstring>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -26,6 +33,7 @@
 #include "net/frame.h"
 #include "net/server.h"
 #include "net/session.h"
+#include "net/socket.h"
 #include "net/wire.h"
 #include "pipeline/appraiser.h"
 #include "pipeline/pipeline.h"
@@ -818,6 +826,200 @@ TEST(NetParity, SimAndSocketAgreeOnEveryPayload) {
     EXPECT_EQ(socket_verdicts[i], sim_verdicts[i])
         << "verdict diverged for payload: " << cases[i].name;
   }
+}
+
+// ---------------------------------------- socket I/O path, hostile peers --
+
+// write_some() on a socketpair whose writer has a tiny send buffer: the
+// outbox drains through many short writes, grows while it drains (as a
+// session appends frames), keeps its written prefix below half the
+// buffer, and the reader sees exactly the bytes queued, in order.
+TEST(NetSocket, ShortWritesDeliverTheExactStream) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const net::Fd writer(sv[0]);
+  const net::Fd reader(sv[1]);
+  const int sndbuf = 4096;
+  ASSERT_EQ(::setsockopt(writer.get(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                         sizeof(sndbuf)),
+            0);
+  ASSERT_TRUE(net::set_nonblocking(writer.get()));
+  ASSERT_TRUE(net::set_nonblocking(reader.get()));
+
+  crypto::Bytes expected(512 * 1024);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    expected[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9));
+  }
+  crypto::Bytes out;
+  std::size_t head = 0;
+  std::size_t queued = 0;
+  std::size_t written = 0;
+  std::size_t short_writes = 0;
+  crypto::Bytes received;
+  for (std::size_t pass = 0; received.size() < expected.size(); ++pass) {
+    const std::size_t frame =
+        std::min<std::size_t>(7001, expected.size() - queued);
+    const auto from = expected.begin() + static_cast<std::ptrdiff_t>(queued);
+    out.insert(out.end(), from, from + static_cast<std::ptrdiff_t>(frame));
+    queued += frame;
+    const net::IoResult res = net::write_some(writer.get(), out, head);
+    ASSERT_NE(res.status, net::IoStatus::kError);
+    written += res.bytes;
+    ASSERT_EQ(out.size() - head, queued - written);
+    ASSERT_TRUE(head == 0 || 2 * head < out.size());
+    if (res.status == net::IoStatus::kWouldBlock) {
+      ++short_writes;
+    } else {
+      ASSERT_TRUE(out.empty());
+      ASSERT_EQ(head, 0u);
+    }
+    if (pass % 5 != 4 && queued < expected.size()) continue;  // reader lags
+    ASSERT_EQ(net::read_drain(reader.get(),
+                              [&](crypto::BytesView chunk) {
+                                received.insert(received.end(), chunk.begin(),
+                                                chunk.end());
+                                return true;
+                              }),
+              net::IoStatus::kWouldBlock);
+  }
+  EXPECT_EQ(received, expected);
+  EXPECT_GT(short_writes, 0u);
+
+  // A reader that stops reading makes the blocking flush time out.
+  out.assign(256 * 1024, 0x5A);
+  EXPECT_EQ(net::flush_until(writer.get(), out, head,
+                             net::mono_ns() + 20'000'000),
+            net::IoStatus::kTimeout);
+  EXPECT_LT(out.size() - head, 256u * 1024u);
+}
+
+std::atomic<int> g_sigpipes{0};
+
+// Writing to a peer that closed is an error the caller sees, not a
+// SIGPIPE that kills the process.
+TEST(NetSocket, WriteToClosedPeerIsAnErrorNotASignal) {
+  struct sigaction count_pipes {};
+  count_pipes.sa_handler = [](int) { g_sigpipes.fetch_add(1); };
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGPIPE, &count_pipes, &previous), 0);
+
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const net::Fd writer(sv[0]);
+  net::Fd reader(sv[1]);
+  ASSERT_TRUE(net::set_nonblocking(writer.get()));
+  reader.reset();
+
+  crypto::Bytes out(100, 0xAB);
+  std::size_t head = 0;
+  const net::IoResult res = net::write_some(writer.get(), out, head);
+  EXPECT_EQ(res.status, net::IoStatus::kError);
+  EXPECT_EQ(res.bytes, 0u);
+  EXPECT_EQ(out.size() - head, 100u);
+  EXPECT_EQ(net::flush_until(writer.get(), out, head,
+                             net::mono_ns() + 20'000'000),
+            net::IoStatus::kError);
+  EXPECT_EQ(g_sigpipes.load(), 0);
+  ::sigaction(SIGPIPE, &previous, nullptr);
+}
+
+// A switch that sends rounds but never reads gets its reads paused once
+// it owes the server more than 1 MiB of certificates; when it finally
+// drains, every owed certificate arrives, in the order the rounds were
+// sent, each signed under the appraiser's key.
+TEST(NetBackpressure, StalledReaderIsPausedThenServedInOrder) {
+  E2eKeys keys;
+  net::AppraiserServer server(keys.server_config());
+  server.start();
+  net::SwitchClient client(keys.identity("sw0", 0xBAC'0001));
+  ASSERT_TRUE(client.connect(server.port(), 2000)) << client.error_text();
+  net::ClientSession* session = client.session();
+  crypto::HmacSigner device(keys.device_keys()[0]);
+
+  // serve(0) writes what the socket takes and returns without reading.
+  // Rounds are queued only while the server keeps reading them, so the
+  // client's own outbox stays small whatever pace the server runs at.
+  std::vector<crypto::Nonce> sent;
+  const std::int64_t give_up = net::mono_ns() + 30'000'000'000;
+  while (server.stats().read_pauses == 0 && net::mono_ns() < give_up) {
+    if (session->outbox().size() > 64 * 1024) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } else {
+      for (int i = 0; i < 64; ++i) {
+        crypto::Nonce n;
+        const std::uint64_t seq = sent.size();
+        std::memcpy(n.value.v.data(), &seq, sizeof(seq));
+        const crypto::Bytes ev =
+            net::make_signed_evidence("sw0", keys.golden, n, device);
+        session->send_evidence(n, view(ev));
+        sent.push_back(n);
+      }
+    }
+    (void)client.serve(0);
+  }
+  ASSERT_GT(server.stats().read_pauses, 0u) << sent.size() << " rounds sent";
+
+  std::vector<ra::Certificate> certs;
+  for (int i = 0; i < 600 && certs.size() < sent.size(); ++i) {
+    (void)client.serve(50);
+    for (ra::Certificate& cert : session->take_results()) {
+      certs.push_back(std::move(cert));
+    }
+  }
+  ASSERT_EQ(certs.size(), sent.size());
+  const crypto::HmacVerifier cert_verifier(keys.cert_key);
+  for (std::size_t i = 0; i < certs.size(); ++i) {
+    ASSERT_EQ(certs[i].nonce.value, sent[i].value) << "certificate " << i;
+    ASSERT_TRUE(certs[i].verify(cert_verifier)) << "certificate " << i;
+    ASSERT_TRUE(certs[i].verdict) << "certificate " << i;
+  }
+  client.close();
+  server.stop();
+}
+
+// A switch that closes its socket while certificates are still owed must
+// cost the server that connection, not the process. Each switch sends its
+// rounds one write at a time (round(0) returns without reading) and then
+// closes normally, so the server can end up answering into a socket whose
+// peer already sent FIN; the reset that comes back turns the next write
+// into EPIPE, which without MSG_NOSIGNAL raises SIGPIPE and kills the
+// server. Whether a wave hits that window is a race (most waves did
+// without the fix), so the test runs several.
+TEST(NetHostilePeer, SwitchClosingWithResultsOwedLeavesServerUp) {
+  E2eKeys keys;
+  net::AppraiserServer server(keys.server_config());
+  server.start();
+
+  constexpr std::size_t kWaves = 8;
+  constexpr std::size_t kSessions = 50;
+  constexpr int kRounds = 64;
+  for (std::size_t wave = 0; wave < kWaves; ++wave) {
+    std::vector<std::unique_ptr<net::SwitchClient>> switches;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      switches.push_back(std::make_unique<net::SwitchClient>(keys.identity(
+          "sw" + std::to_string(s), 0x5161'0000 + wave * kSessions + s)));
+      ASSERT_TRUE(switches.back()->connect(server.port(), 2000))
+          << switches.back()->error_text();
+    }
+    for (auto& sw : switches) {
+      for (int i = 0; i < kRounds; ++i) EXPECT_FALSE(sw->round(0).has_value());
+      sw->close();
+    }
+    // Every abandoned session must be closed by the server.
+    for (int i = 0; i < 1000 && server.stats().sessions_open > 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_EQ(server.stats().sessions_open, 0u) << "wave " << wave;
+  }
+
+  // The server still admits and appraises a fresh switch.
+  net::SwitchClient fresh(keys.identity("sw-fresh", 0x5161'FFFF));
+  ASSERT_TRUE(fresh.connect(server.port(), 2000)) << fresh.error_text();
+  const auto cert = fresh.round(2000);
+  ASSERT_TRUE(cert.has_value());
+  EXPECT_TRUE(cert->verdict);
+  fresh.close();
+  server.stop();
 }
 
 }  // namespace
