@@ -16,7 +16,7 @@ std::shared_ptr<Evidence> make(EvidenceKind k) {
   return e;
 }
 
-void encode_string(Bytes& out, const std::string& s) {
+void encode_string(Bytes& out, std::string_view s) {
   crypto::append_u32(out, static_cast<std::uint32_t>(s.size()));
   crypto::append(out, crypto::as_bytes(s));
 }
@@ -43,9 +43,14 @@ Digest decode_digest(BytesView data, std::size_t& off) {
   return d;
 }
 
-void encode_rec(const EvidencePtr& e, Bytes& out);
-
-EvidencePtr decode_rec(BytesView data, std::size_t& off);
+// What a signature node encodes between its kind byte and its child.
+void encode_signature_fields(Bytes& out, std::string_view place,
+                             const crypto::Signature& sig) {
+  encode_string(out, place);
+  const Bytes sig_bytes = sig.serialize();
+  crypto::append_u32(out, static_cast<std::uint32_t>(sig_bytes.size()));
+  crypto::append(out, BytesView{sig_bytes.data(), sig_bytes.size()});
+}
 
 void encode_rec(const EvidencePtr& e, Bytes& out) {
   if (!e) throw std::invalid_argument("evidence encode: null node");
@@ -63,14 +68,10 @@ void encode_rec(const EvidencePtr& e, Bytes& out) {
     case EvidenceKind::kNonce:
       crypto::append(out, e->nonce.value);
       return;
-    case EvidenceKind::kSignature: {
-      encode_string(out, e->place);
-      const Bytes sig = e->sig.serialize();
-      crypto::append_u32(out, static_cast<std::uint32_t>(sig.size()));
-      crypto::append(out, BytesView{sig.data(), sig.size()});
+    case EvidenceKind::kSignature:
+      encode_signature_fields(out, e->place, e->sig);
       encode_rec(e->child, out);
       return;
-    }
     case EvidenceKind::kHashed:
       encode_string(out, e->place);
       crypto::append(out, e->hash_value);
@@ -91,7 +92,28 @@ void encode_rec(const EvidencePtr& e, Bytes& out) {
   throw std::invalid_argument("evidence encode: unknown kind");
 }
 
-EvidencePtr decode_rec(BytesView data, std::size_t& off) {
+void check_depth(std::size_t depth) {
+  if (depth > kMaxEvidenceDepth) {
+    throw std::invalid_argument("evidence decode: nested too deep");
+  }
+}
+
+// The signature a kSignature node carries between its place and its
+// child; `off` moves past it.
+crypto::Signature decode_signature(BytesView data, std::size_t& off) {
+  const std::uint32_t sig_len = crypto::read_u32(data, off);
+  off += 4;
+  if (off + sig_len > data.size()) {
+    throw std::invalid_argument("evidence decode: truncated signature");
+  }
+  crypto::Signature sig =
+      crypto::Signature::deserialize(data.subspan(off, sig_len));
+  off += sig_len;
+  return sig;
+}
+
+EvidencePtr decode_rec(BytesView data, std::size_t& off, std::size_t depth) {
+  check_depth(depth);
   if (off >= data.size()) {
     throw std::invalid_argument("evidence decode: truncated node");
   }
@@ -116,14 +138,8 @@ EvidencePtr decode_rec(BytesView data, std::size_t& off) {
     case EvidenceKind::kSignature: {
       auto e = make(EvidenceKind::kSignature);
       e->place = decode_string(data, off);
-      const std::uint32_t sig_len = crypto::read_u32(data, off);
-      off += 4;
-      if (off + sig_len > data.size()) {
-        throw std::invalid_argument("evidence decode: truncated signature");
-      }
-      e->sig = crypto::Signature::deserialize(data.subspan(off, sig_len));
-      off += sig_len;
-      e->child = decode_rec(data, off);
+      e->sig = decode_signature(data, off);
+      e->child = decode_rec(data, off, depth + 1);
       return e;
     }
     case EvidenceKind::kHashed: {
@@ -135,8 +151,8 @@ EvidencePtr decode_rec(BytesView data, std::size_t& off) {
     case EvidenceKind::kSeq:
     case EvidenceKind::kPar: {
       auto e = make(kind);
-      e->left = decode_rec(data, off);
-      e->right = decode_rec(data, off);
+      e->left = decode_rec(data, off, depth + 1);
+      e->right = decode_rec(data, off, depth + 1);
       return e;
     }
     case EvidenceKind::kFuncOut: {
@@ -151,8 +167,76 @@ EvidencePtr decode_rec(BytesView data, std::size_t& off) {
       e->output.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
                        data.begin() + static_cast<std::ptrdiff_t>(off + out_len));
       off += out_len;
-      e->child = decode_rec(data, off);
+      e->child = decode_rec(data, off, depth + 1);
       return e;
+    }
+  }
+  throw std::invalid_argument("evidence decode: unknown kind byte");
+}
+
+// decode_string / decode_digest without the copy.
+void skip_string(BytesView data, std::size_t& off) {
+  const std::uint32_t len = crypto::read_u32(data, off);
+  off += 4;
+  if (off + len > data.size()) {
+    throw std::invalid_argument("evidence decode: truncated string");
+  }
+  off += len;
+}
+
+void skip_digest(BytesView data, std::size_t& off) {
+  if (off + 32 > data.size()) {
+    throw std::invalid_argument("evidence decode: truncated digest");
+  }
+  off += 32;
+}
+
+// decode_rec without the tree: the same checks in the same order, so it
+// rejects exactly what decode_rec rejects.
+void scan_rec(BytesView data, std::size_t& off, std::size_t depth) {
+  check_depth(depth);
+  if (off >= data.size()) {
+    throw std::invalid_argument("evidence decode: truncated node");
+  }
+  const auto kind = static_cast<EvidenceKind>(data[off++]);
+  switch (kind) {
+    case EvidenceKind::kEmpty:
+      return;
+    case EvidenceKind::kMeasurement:
+      skip_string(data, off);
+      skip_string(data, off);
+      skip_string(data, off);
+      skip_digest(data, off);
+      skip_string(data, off);
+      return;
+    case EvidenceKind::kNonce:
+      skip_digest(data, off);
+      return;
+    case EvidenceKind::kSignature:
+      skip_string(data, off);
+      (void)decode_signature(data, off);
+      scan_rec(data, off, depth + 1);
+      return;
+    case EvidenceKind::kHashed:
+      skip_string(data, off);
+      skip_digest(data, off);
+      return;
+    case EvidenceKind::kSeq:
+    case EvidenceKind::kPar:
+      scan_rec(data, off, depth + 1);
+      scan_rec(data, off, depth + 1);
+      return;
+    case EvidenceKind::kFuncOut: {
+      skip_string(data, off);
+      skip_string(data, off);
+      const std::uint32_t out_len = crypto::read_u32(data, off);
+      off += 4;
+      if (off + out_len > data.size()) {
+        throw std::invalid_argument("evidence decode: truncated output");
+      }
+      off += out_len;
+      scan_rec(data, off, depth + 1);
+      return;
     }
   }
   throw std::invalid_argument("evidence decode: unknown kind byte");
@@ -234,19 +318,53 @@ Bytes encode(const EvidencePtr& e) {
   return out;
 }
 
+Bytes encode_signature(std::string_view place, const crypto::Signature& sig,
+                       BytesView child) {
+  Bytes out;
+  out.push_back(static_cast<std::uint8_t>(EvidenceKind::kSignature));
+  encode_signature_fields(out, place, sig);
+  crypto::append(out, child);
+  return out;
+}
+
 EvidencePtr decode(BytesView data) {
   std::size_t off = 0;
-  EvidencePtr e = decode_rec(data, off);
+  EvidencePtr e = decode_rec(data, off, 1);
   if (off != data.size()) {
     throw std::invalid_argument("evidence decode: trailing bytes");
   }
   return e;
 }
 
+ScannedEvidence scan(BytesView data) {
+  ScannedEvidence out;
+  out.content = data;
+  std::size_t off = 0;
+  if (!data.empty() &&
+      data[0] == static_cast<std::uint8_t>(EvidenceKind::kSignature)) {
+    // The outermost signature node, unrolled: keep its signature and
+    // where its child starts.
+    off = 1;
+    skip_string(data, off);
+    out.sig = decode_signature(data, off);
+    out.is_signed = true;
+    out.content = data.subspan(off);
+    scan_rec(data, off, 2);
+  } else {
+    scan_rec(data, off, 1);
+  }
+  if (off != data.size()) {
+    throw std::invalid_argument("evidence decode: trailing bytes");
+  }
+  return out;
+}
+
 Digest digest(const EvidencePtr& e) {
   const Bytes enc = encode(e);
   return crypto::sha256(BytesView{enc.data(), enc.size()});
 }
+
+Digest digest(const EncodedEvidence& e) { return crypto::sha256(e.view()); }
 
 std::size_t wire_size(const EvidencePtr& e) { return encode(e).size(); }
 

@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/bytes.h"
@@ -79,15 +80,65 @@ struct Evidence {
   static EvidencePtr extend(const EvidencePtr& acc, EvidencePtr item);
 };
 
+/// Deepest node nesting decode() and scan() accept; the root is at depth
+/// 1. Each nesting level costs the recursive codec a stack frame, so a
+/// bound keeps hostile input (a run of kSeq bytes) from exhausting the
+/// stack. The deepest term the test suite, the examples and bench_fleet
+/// decode nests 8 levels.
+inline constexpr std::size_t kMaxEvidenceDepth = 1024;
+
 /// Canonical byte encoding (self-delimiting, deterministic).
 [[nodiscard]] crypto::Bytes encode(const EvidencePtr& e);
 
+/// Canonical encoding of Evidence::signature(place, child, sig), given
+/// the child's encoding (a signature node encodes its child last), so a
+/// signer that already encoded the child for its digest skips a second
+/// encode.
+[[nodiscard]] crypto::Bytes encode_signature(std::string_view place,
+                                             const crypto::Signature& sig,
+                                             crypto::BytesView child);
+
 /// Decode evidence from its canonical encoding.
-/// Throws std::invalid_argument on malformed input.
+/// Throws std::invalid_argument on malformed input or on nesting deeper
+/// than kMaxEvidenceDepth.
 [[nodiscard]] EvidencePtr decode(crypto::BytesView data);
+
+/// What scan() reads from a canonical encoding without building a tree.
+struct ScannedEvidence {
+  /// True when the outermost node is a signature.
+  bool is_signed = false;
+  /// The outermost signature (key id included); empty when unsigned.
+  crypto::Signature sig;
+  /// The signed content: the child's encoding (a suffix of the scanned
+  /// bytes) when signed, the whole input otherwise. A view into the
+  /// scanned buffer.
+  crypto::BytesView content;
+};
+
+/// Validate a canonical encoding without building a tree. Accepts
+/// exactly the inputs decode() accepts (same depth bound; nested
+/// signatures are parsed by the same Signature::deserialize) and throws
+/// std::exception on the rest.
+[[nodiscard]] ScannedEvidence scan(crypto::BytesView data);
+
+/// One term's canonical encoding, held as bytes (the appraiser keeps
+/// signed content this way instead of as a tree). Tests true when it
+/// holds a term: no valid encoding is empty.
+struct EncodedEvidence {
+  crypto::Bytes bytes;
+
+  explicit operator bool() const { return !bytes.empty(); }
+  [[nodiscard]] crypto::BytesView view() const {
+    return {bytes.data(), bytes.size()};
+  }
+};
 
 /// Digest of the canonical encoding — the value `!` signs and `#` keeps.
 [[nodiscard]] crypto::Digest digest(const EvidencePtr& e);
+
+/// Same digest, of an already-encoded term: digest(decode(b)) for every
+/// encoding b that decode() accepts.
+[[nodiscard]] crypto::Digest digest(const EncodedEvidence& e);
 
 /// Wire size of the canonical encoding.
 [[nodiscard]] std::size_t wire_size(const EvidencePtr& e);

@@ -1,5 +1,6 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace pera::crypto {
@@ -28,9 +29,9 @@ Sha256& Sha256::update(BytesView data) {
   total_bits_ += static_cast<std::uint64_t>(data.size()) * 8;
   std::size_t i = 0;
   if (buffer_len_ > 0) {
-    while (buffer_len_ < 64 && i < data.size()) {
-      buffer_[buffer_len_++] = data[i++];
-    }
+    i = std::min<std::size_t>(64 - buffer_len_, data.size());
+    std::memcpy(buffer_ + buffer_len_, data.data(), i);
+    buffer_len_ += i;
     if (buffer_len_ == 64) {
       process_block(buffer_);
       buffer_len_ = 0;
@@ -40,8 +41,9 @@ Sha256& Sha256::update(BytesView data) {
     process_block(data.data() + i);
     i += 64;
   }
-  while (i < data.size()) {
-    buffer_[buffer_len_++] = data[i++];
+  if (i < data.size()) {
+    std::memcpy(buffer_ + buffer_len_, data.data() + i, data.size() - i);
+    buffer_len_ += data.size() - i;
   }
   return *this;
 }
@@ -106,9 +108,9 @@ void Sha256::digest_into(BytesView data, Digest& out) {
 }
 
 Digest sha256(BytesView data) {
-  Sha256 h;
-  h.update(data);
-  return h.finish();
+  Digest out;
+  Sha256::digest_into(data, out);
+  return out;
 }
 
 Digest sha256(std::string_view s) { return sha256(as_bytes(s)); }

@@ -11,7 +11,7 @@ constexpr nac::EvidenceDetail kLevels[] = {
     nac::EvidenceDetail::kPacket};
 }
 
-std::optional<copland::EvidencePtr> EvidenceCache::lookup(
+std::optional<CachedEvidence> EvidenceCache::lookup(
     nac::DetailMask detail, const crypto::Nonce& nonce,
     const MeasurementUnit& mu, const crypto::Digest& variant) {
   if (!enabled_) {
@@ -53,7 +53,7 @@ std::optional<copland::EvidencePtr> EvidenceCache::lookup(
 }
 
 void EvidenceCache::store(nac::DetailMask detail, const crypto::Nonce& nonce,
-                          copland::EvidencePtr evidence,
+                          CachedEvidence evidence,
                           const MeasurementUnit& mu,
                           const crypto::Digest& variant) {
   if (!enabled_) return;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
 
 #include "copland/evidence.h"
@@ -29,6 +30,14 @@ struct CacheStats {
   }
 };
 
+/// Cached evidence for one (detail, nonce, variant) slot: the term and
+/// its canonical encoding, shared so a hit hands both out without
+/// copying or encoding.
+struct CachedEvidence {
+  copland::EvidencePtr evidence;
+  std::shared_ptr<const crypto::Bytes> encoded;
+};
+
 class EvidenceCache {
  public:
   explicit EvidenceCache(bool enabled = true) : enabled_(enabled) {}
@@ -40,13 +49,13 @@ class EvidenceCache {
   /// variant). Returns the cached evidence when present and every covered
   /// level's epoch still matches. `variant` disambiguates instructions
   /// with equal detail but different hash/sign flags or custom targets.
-  [[nodiscard]] std::optional<copland::EvidencePtr> lookup(
+  [[nodiscard]] std::optional<CachedEvidence> lookup(
       nac::DetailMask detail, const crypto::Nonce& nonce,
       const MeasurementUnit& mu, const crypto::Digest& variant = {});
 
   /// Store evidence with the current epochs of its covered levels.
   void store(nac::DetailMask detail, const crypto::Nonce& nonce,
-             copland::EvidencePtr evidence, const MeasurementUnit& mu,
+             CachedEvidence evidence, const MeasurementUnit& mu,
              const crypto::Digest& variant = {});
 
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
@@ -62,7 +71,7 @@ class EvidenceCache {
     auto operator<=>(const Key&) const = default;
   };
   struct Entry {
-    copland::EvidencePtr evidence;
+    CachedEvidence evidence;
     std::map<nac::EvidenceDetail, std::uint64_t> epochs;
   };
 

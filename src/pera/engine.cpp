@@ -46,19 +46,25 @@ EngineResult EvidenceEngine::create(const nac::HopInstruction& inst,
           : inst.detail;
 
   // Instruction variant key: same detail with different hash/sign flags or
-  // custom targets must not share cache slots.
-  crypto::Sha256 variant_h;
-  variant_h.update("pera.engine.variant");
+  // custom targets must not share cache slots. The flags are the key
+  // as they are; only custom targets need hashing.
   const std::uint8_t fl = static_cast<std::uint8_t>(
       (inst.hash_evidence ? 1 : 0) | (inst.sign_evidence ? 2 : 0));
-  variant_h.update(crypto::BytesView{&fl, 1});
-  for (const auto& t : inst.custom_targets) variant_h.update(t);
-  const crypto::Digest variant = variant_h.finish();
+  crypto::Digest variant{};
+  variant.v[0] = fl;
+  if (!inst.custom_targets.empty()) {
+    crypto::Sha256 variant_h;
+    variant_h.update("pera.engine.variant");
+    variant_h.update(crypto::BytesView{&fl, 1});
+    for (const auto& t : inst.custom_targets) variant_h.update(t);
+    variant = variant_h.finish();
+  }
 
   // Cache covers everything but packet-level freshness.
   res.cost += costs_.cache_lookup_cost;
   if (auto cached = cache_->lookup(detail, nonce, *mu_, variant)) {
-    res.evidence = *cached;
+    res.evidence = std::move(cached->evidence);
+    res.encoded = std::move(cached->encoded);
     res.from_cache = true;
     span.set_cost(res.cost);
     span.set_value(1);  // served from cache
@@ -88,15 +94,20 @@ EngineResult EvidenceEngine::create(const nac::HopInstruction& inst,
     res.cost += costs_.measure_cost;
   }
 
+  // `encoded` tracks encode(acc): each digest below is taken over it, and
+  // the signed term's encoding is built from it.
+  crypto::Bytes encoded = copland::encode(acc);
   if (inst.hash_evidence) {
-    const std::size_t sz = copland::wire_size(acc);
-    acc = Evidence::hashed(place_, copland::digest(acc));
+    const std::size_t sz = encoded.size();
+    acc = Evidence::hashed(place_, crypto::sha256(encoded));
+    encoded = copland::encode(acc);
     res.cost += costs_.hash_cost_per_kb *
                 static_cast<netsim::SimTime>(sz / 1024 + 1);
     PERA_OBS_COUNT("pera.engine.hashes");
   }
   if (inst.sign_evidence) {
-    crypto::Signature sig = signer_->sign(copland::digest(acc));
+    crypto::Signature sig = signer_->sign(crypto::sha256(encoded));
+    encoded = copland::encode_signature(place_, sig, encoded);
     acc = Evidence::signature(place_, acc, std::move(sig));
     res.cost += sign_cost();
     PERA_OBS_COUNT("pera.sign.count");
@@ -104,7 +115,8 @@ EngineResult EvidenceEngine::create(const nac::HopInstruction& inst,
     PERA_OBS_EVENT(obs::SpanKind::kSign, place_, sign_cost());
   }
 
-  cache_->store(detail, nonce, acc, *mu_, variant);
+  res.encoded = std::make_shared<const crypto::Bytes>(std::move(encoded));
+  cache_->store(detail, nonce, {acc, res.encoded}, *mu_, variant);
   res.evidence = std::move(acc);
   span.set_cost(res.cost);
   return res;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "copland/evidence.h"
@@ -17,6 +18,10 @@ namespace pera::pera {
 
 struct EngineResult {
   copland::EvidencePtr evidence;
+  /// create(): the canonical encoding of `evidence`, shared with the
+  /// cache entry (a hit neither encodes nor copies). Null when the guard
+  /// failed and from compose().
+  std::shared_ptr<const crypto::Bytes> encoded;
   netsim::SimTime cost = 0;
   bool from_cache = false;
   bool guard_failed = false;

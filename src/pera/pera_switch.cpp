@@ -101,6 +101,9 @@ PeraResult PeraSwitch::process(const dataplane::RawPacket& in,
         sampler_fires(header->nonce.value, header->sampling_log2)) {
       PERA_OBS_COUNT("pera.sampler.attest");
       PERA_OBS_EVENT(obs::SpanKind::kSampleDecision, name_, 0, 1);
+      const std::string collector = header->appraiser.empty()
+                                        ? std::string{"Appraiser"}
+                                        : header->appraiser;
       for (const nac::HopInstruction* inst : instructions) {
         // Guard tests see the parsed packet.
         const GuardTest guard = [this, &pkt](const std::string& test) {
@@ -127,13 +130,11 @@ PeraResult PeraSwitch::process(const dataplane::RawPacket& in,
         ++stats_.attestations;
         result.attested = true;
 
-        const std::string collector = header->appraiser.empty()
-                                          ? std::string{"Appraiser"}
-                                          : header->appraiser;
+        const crypto::Bytes& encoded = *ev.encoded;
         if (batch_this) {
           pending_oob_.push_back(
-              PendingOob{collector, ev.evidence, header->nonce});
-          const auto receipts = batcher_->add(copland::digest(ev.evidence));
+              PendingOob{collector, ev.encoded, header->nonce});
+          const auto receipts = batcher_->add(crypto::sha256(encoded));
           if (receipts) {
             // One signing operation amortized over the whole batch.
             result.ra_latency += config_.costs.sign_cost_hmac;
@@ -145,7 +146,6 @@ PeraResult PeraSwitch::process(const dataplane::RawPacket& in,
           continue;
         }
 
-        const crypto::Bytes encoded = copland::encode(ev.evidence);
         if (obs::enabled()) {
           count_wire_bytes_per_level(effective.detail == 0
                                          ? nac::mask_of(
@@ -189,12 +189,14 @@ void PeraSwitch::sign_pending(const std::vector<BatchedSignature>& receipts,
   out.reserve(out.size() + pending_oob_.size());
   for (std::size_t i = 0; i < pending_oob_.size(); ++i) {
     const auto& p = pending_oob_[i];
-    const copland::EvidencePtr signed_ev = copland::Evidence::signature(
-        name_, p.evidence,
-        crypto::wrap_batched(receipts[i].root, receipts[i].proof,
-                             receipts[i].root_sig));
-    out.push_back(OutOfBandEvidence{p.to, copland::encode(signed_ev),
-                                    p.nonce});
+    out.push_back(OutOfBandEvidence{
+        p.to,
+        copland::encode_signature(
+            name_,
+            crypto::wrap_batched(receipts[i].root, receipts[i].proof,
+                                 receipts[i].root_sig),
+            *p.evidence),
+        p.nonce});
     ++stats_.out_of_band_messages;
     PERA_OBS_COUNT("pera.oob.messages");
     PERA_OBS_COUNT("pera.oob.bytes", out.back().evidence.size());

@@ -128,7 +128,8 @@ class PeraSwitch {
   std::optional<EvidenceBatcher> batcher_;
   struct PendingOob {
     std::string to;
-    copland::EvidencePtr evidence;  // unsigned; wrapped at flush
+    // Encoding of the unsigned evidence; wrapped at flush.
+    std::shared_ptr<const crypto::Bytes> evidence;
     crypto::Nonce nonce;
   };
   std::vector<PendingOob> pending_oob_;

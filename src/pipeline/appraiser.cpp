@@ -1,6 +1,7 @@
 #include "pipeline/appraiser.h"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "copland/evidence.h"
@@ -20,6 +21,47 @@ namespace {
 constexpr std::size_t kRingCapacity = 4096;
 // Max items popped per ring visit — the verification batch grain.
 constexpr std::size_t kVerifyBurst = 16;
+
+// Digest of the chain Evidence::extend builds from the decoded records'
+// content, in order, computed from their bytes. extend drops a leading
+// kEmpty accumulator (Empty + x = x), so the chain starts at the first
+// content that is not kEmpty and every later content joins it; a left-deep
+// Seq chain over m contents encodes as m-1 kSeq bytes followed by the m
+// contents. No content left: the chain is Empty, which encodes as 0x00.
+crypto::Digest chain_digest(const std::vector<AppraisedRecord>& records) {
+  constexpr auto kEmptyByte =
+      static_cast<std::uint8_t>(copland::EvidenceKind::kEmpty);
+  std::size_t first = 0;
+  std::size_t links = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (!records[i].decoded) continue;
+    const crypto::Bytes& bytes = records[i].content.bytes;
+    // A flow folds long after its records were appraised, so their bytes
+    // are usually out of cache: start every line's load now, and the
+    // hashing pass below runs on cached data.
+    for (std::size_t line = 64; line < bytes.size(); line += 64) {
+      __builtin_prefetch(bytes.data() + line);
+    }
+    if (links == 0 && bytes[0] == kEmptyByte) {
+      first = i + 1;
+      continue;
+    }
+    ++links;
+  }
+  if (links == 0) return crypto::sha256(crypto::BytesView{&kEmptyByte, 1});
+  crypto::Sha256 h;
+  std::array<std::uint8_t, 64> seq_bytes;
+  seq_bytes.fill(static_cast<std::uint8_t>(copland::EvidenceKind::kSeq));
+  for (std::size_t left = links - 1; left > 0;) {
+    const std::size_t n = std::min(left, seq_bytes.size());
+    h.update(crypto::BytesView{seq_bytes.data(), n});
+    left -= n;
+  }
+  for (std::size_t i = first; i < records.size(); ++i) {
+    if (records[i].decoded) h.update(records[i].content.view());
+  }
+  return h.finish();
+}
 
 }  // namespace
 
@@ -57,22 +99,22 @@ AppraisedRecord appraise_record(const EvidenceItem& item,
   AppraisedRecord rec;
   rec.seq = item.seq;
   rec.shard = item.shard;
+  copland::ScannedEvidence ev;
   try {
-    const copland::EvidencePtr ev = copland::decode(
+    ev = copland::scan(
         crypto::BytesView{item.evidence.data(), item.evidence.size()});
-    rec.decoded = true;
-    if (ev->kind == copland::EvidenceKind::kSignature && ev->child != nullptr) {
-      if (const crypto::Verifier* v = verifiers.by_key_id(ev->sig.key_id)) {
-        rec.sig_ok =
-            crypto::verify_any(*v, copland::digest(ev->child), ev->sig);
-      }
-      rec.content = ev->child;
-    } else {
-      rec.content = ev;  // unsigned evidence: content-only appraisal
-      rec.sig_ok = true;
-    }
   } catch (const std::exception&) {
     return rec;  // decoded=false: counted as a failure by the fold
+  }
+  rec.decoded = true;
+  rec.content.bytes.assign(ev.content.begin(), ev.content.end());
+  rec.content_digest = crypto::sha256(ev.content);
+  if (ev.is_signed) {
+    if (const crypto::Verifier* v = verifiers.by_key_id(ev.sig.key_id)) {
+      rec.sig_ok = crypto::verify_any(*v, rec.content_digest, ev.sig);
+    }
+  } else {
+    rec.sig_ok = true;  // unsigned evidence: content-only appraisal
   }
   PERA_OBS_COUNT(rec.sig_ok ? "pipeline.appraise.sig_ok"
                             : "pipeline.appraise.sig_fail");
@@ -85,51 +127,45 @@ FlowVerdict fold_flow(std::uint64_t flow,
   // Restore per-flow order: the dispatcher's sequence numbers are
   // global, so they order a flow's records no matter which shard (or
   // how many shards) produced them. Stable, so the several records one
-  // packet can emit keep their emission order.
-  std::stable_sort(records.begin(), records.end(),
-                   [](const AppraisedRecord& a, const AppraisedRecord& b) {
-                     if (a.seq != b.seq) return a.seq < b.seq;
-                     return a.shard < b.shard;
-                   });
+  // packet can emit keep their emission order. A flow never splits
+  // across shards, so its records usually arrive in order already.
+  const auto before = [](const AppraisedRecord& a, const AppraisedRecord& b) {
+    if (a.seq != b.seq) return a.seq < b.seq;
+    return a.shard < b.shard;
+  };
+  if (!std::is_sorted(records.begin(), records.end(), before)) {
+    std::stable_sort(records.begin(), records.end(), before);
+  }
 
   FlowVerdict verdict;
   verdict.flow = flow;
   verdict.records = records.size();
   verdict.ok = true;
-
-  copland::EvidencePtr chain = copland::Evidence::empty();
-  crypto::Sha256 pointwise;
-  pointwise.update("pera.pipeline.pointwise");
-
   for (const AppraisedRecord& rec : records) {
-    if (!rec.decoded) {
+    if (!rec.decoded || !rec.sig_ok) {
       verdict.ok = false;
       ++verdict.signature_failures;
-      continue;
-    }
-    if (!rec.sig_ok) {
-      verdict.ok = false;
-      ++verdict.signature_failures;
-    }
-    // Fold the signed content (shard-key independent) into the flow
-    // transcript under the policy's composition mode.
-    if (mode == nac::CompositionMode::kChained) {
-      chain = copland::Evidence::extend(chain, rec.content);
-    } else {
-      pointwise.update(copland::digest(rec.content));
-      pointwise.update(crypto::BytesView{
-          reinterpret_cast<const std::uint8_t*>(&rec.sig_ok), 1});
     }
   }
 
+  // Fold the signed content (shard-key independent) of every decoded
+  // record into the flow transcript under the policy's composition mode.
   if (mode == nac::CompositionMode::kChained) {
     crypto::Sha256 h;
     h.update("pera.pipeline.chained");
-    h.update(copland::digest(chain));
+    h.update(chain_digest(records));
     const std::uint8_t ok_byte = verdict.ok ? 1 : 0;
     h.update(crypto::BytesView{&ok_byte, 1});
     verdict.transcript = h.finish();
   } else {
+    crypto::Sha256 pointwise;
+    pointwise.update("pera.pipeline.pointwise");
+    for (const AppraisedRecord& rec : records) {
+      if (!rec.decoded) continue;
+      pointwise.update(rec.content_digest);
+      pointwise.update(crypto::BytesView{
+          reinterpret_cast<const std::uint8_t*>(&rec.sig_ok), 1});
+    }
     verdict.transcript = pointwise.finish();
   }
   PERA_OBS_EVENT(obs::SpanKind::kAppraise, "pipeline", 0,

@@ -7,6 +7,16 @@
 // per-flow order by dispatcher sequence number, and folds the per-flow
 // composition — chained (Seq) or pointwise.
 //
+// Appraisal works on the canonical bytes as they arrive and never builds
+// an evidence tree. A signature node encodes its child last, so the
+// signed content is a suffix slice of the record: copland::scan()
+// validates the record (accepting exactly what copland::decode accepts),
+// and the signature is checked over sha256(slice). The chained fold
+// hashes the slices in order behind the kSeq bytes of the chain
+// Evidence::extend would build, which is that chain's encoding, so the
+// transcript equals the one a tree fold gives (tests/evidence_oracle.h
+// keeps the tree fold as the reference).
+//
 // The per-record work (appraise_record) and the per-flow fold
 // (fold_flow) are free functions, run by ParallelAppraiser.
 // It splits appraisal the way Petz & Alexander layer attestation
@@ -50,6 +60,7 @@
 #include <thread>
 #include <vector>
 
+#include "copland/evidence.h"
 #include "crypto/signer.h"
 #include "nac/binder.h"
 #include "pipeline/worker.h"
@@ -89,17 +100,20 @@ class VerifierSet {
 };
 
 /// One evidence record after signature verification, ready for the
-/// per-flow fold. `content` is the evidence under the signature node
-/// (or the whole term for unsigned records); null when decoding failed.
+/// per-flow fold. `content` is the canonical encoding of the evidence
+/// under the signature node (or of the whole term for unsigned records),
+/// and `content_digest` its SHA-256 — the message the signature covers.
+/// Both are empty when the record did not decode.
 struct AppraisedRecord {
   std::uint64_t seq = 0;
   std::uint32_t shard = 0;
   bool decoded = false;
   bool sig_ok = false;
-  copland::EvidencePtr content;
+  copland::EncodedEvidence content;
+  crypto::Digest content_digest{};
 };
 
-/// Decode + verify one evidence item (the parallelizable per-record
+/// Scan + verify one evidence item (the parallelizable per-record
 /// work). Counts pipeline.appraise.sig_ok/.sig_fail.
 [[nodiscard]] AppraisedRecord appraise_record(const EvidenceItem& item,
                                               const VerifierSet& verifiers);

@@ -4,6 +4,8 @@
 // checked here is "throws std::exception or succeeds".)
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "copland/evidence.h"
 #include "core/wire.h"
 #include "crypto/drbg.h"
@@ -14,6 +16,7 @@
 #include "dataplane/p4mini.h"
 #include "nac/header.h"
 #include "netkat/parser.h"
+#include "pera/batcher.h"
 #include "ra/certificate.h"
 #include "ra/roles.h"
 #include "ra/endorsement.h"
@@ -67,12 +70,92 @@ void fuzz_decoder(const Bytes& seed_bytes, std::uint64_t seed, int rounds,
   }
 }
 
+// The appraiser's scanner accepts exactly what decode() accepts, and on
+// accepted input reports the decoded term's outer signature and the
+// bytes of its signed content (the whole term when unsigned).
+void expect_scan_matches_decode(BytesView d) {
+  copland::EvidencePtr tree;
+  try {
+    tree = copland::decode(d);
+  } catch (const std::exception&) {
+  }
+  std::optional<copland::ScannedEvidence> scanned;
+  try {
+    scanned = copland::scan(d);
+  } catch (const std::exception&) {
+  }
+  ASSERT_EQ(tree != nullptr, scanned.has_value());
+  if (tree == nullptr) return;
+  const bool is_signed = tree->kind == copland::EvidenceKind::kSignature;
+  ASSERT_EQ(scanned->is_signed, is_signed);
+  EXPECT_EQ(Bytes(scanned->content.begin(), scanned->content.end()),
+            copland::encode(is_signed ? tree->child : tree));
+  if (is_signed) {
+    EXPECT_EQ(scanned->sig.key_id, tree->sig.key_id);
+    EXPECT_EQ(scanned->sig, tree->sig);
+  }
+}
+
 TEST(Fuzz, EvidenceDecoder) {
-  const copland::EvidencePtr e = copland::Evidence::seq(
+  const copland::EvidencePtr content = copland::Evidence::seq(
       copland::Evidence::measurement("a", "p", "t", crypto::sha256("v"), "c"),
       copland::Evidence::nonce_ev(crypto::Nonce{crypto::sha256("n")}));
-  fuzz_decoder(copland::encode(e), 11, 400,
-               [](BytesView d) { (void)copland::decode(d); });
+  const crypto::Digest msg = copland::digest(content);
+  crypto::HmacSigner hmac(crypto::sha256("fuzz-hmac"));
+  crypto::XmssSigner xmss(crypto::sha256("fuzz-xmss"), 4);
+  ::pera::pera::EvidenceBatcher batcher(hmac, 4);
+  (void)batcher.add(crypto::sha256("other leaf"));
+  (void)batcher.add(msg);
+  const std::vector<crypto::Signature> batched = batcher.flush_wrapped();
+
+  std::vector<Bytes> seeds = {
+      copland::encode(content),
+      copland::encode(copland::Evidence::signature("p", content,
+                                                   hmac.sign(msg))),
+      copland::encode(copland::Evidence::signature("p", content,
+                                                   xmss.sign(msg))),
+      copland::encode(copland::Evidence::signature("p", content, batched[1])),
+      // Signed content nested under a signature, and an empty term.
+      copland::encode(copland::Evidence::signature(
+          "q",
+          copland::Evidence::par(copland::Evidence::signature(
+                                     "p", content, hmac.sign(msg)),
+                                 copland::Evidence::empty()),
+          hmac.sign(msg))),
+      // Past the nesting bound: both must reject it.
+      Bytes(2048, static_cast<std::uint8_t>(copland::EvidenceKind::kSeq)),
+  };
+  std::uint64_t seed = 11;
+  for (const Bytes& s : seeds) {
+    expect_scan_matches_decode(BytesView{s.data(), s.size()});
+    fuzz_decoder(s, seed++, 400,
+                 [](BytesView d) { expect_scan_matches_decode(d); });
+  }
+}
+
+TEST(Fuzz, EvidenceNestingBound) {
+  // A term exactly kMaxEvidenceDepth deep decodes; one level more is
+  // rejected by decode() and scan() alike.
+  const auto chain = [](std::size_t depth) {
+    Bytes b(depth - 1, static_cast<std::uint8_t>(copland::EvidenceKind::kSeq));
+    b.resize(2 * depth - 1,
+             static_cast<std::uint8_t>(copland::EvidenceKind::kEmpty));
+    return b;
+  };
+  const Bytes at_bound = chain(copland::kMaxEvidenceDepth);
+  const Bytes past_bound = chain(copland::kMaxEvidenceDepth + 1);
+  EXPECT_NO_THROW((void)copland::decode(BytesView{at_bound}));
+  EXPECT_NO_THROW((void)copland::scan(BytesView{at_bound}));
+  EXPECT_THROW((void)copland::decode(BytesView{past_bound}),
+               std::invalid_argument);
+  EXPECT_THROW((void)copland::scan(BytesView{past_bound}),
+               std::invalid_argument);
+  // 64 KiB of kSeq: rejected at the bound, long before the stack runs out.
+  const Bytes hostile(64 * 1024,
+                      static_cast<std::uint8_t>(copland::EvidenceKind::kSeq));
+  EXPECT_THROW((void)copland::decode(BytesView{hostile}),
+               std::invalid_argument);
+  EXPECT_THROW((void)copland::scan(BytesView{hostile}), std::invalid_argument);
 }
 
 TEST(Fuzz, PolicyHeaderDecoder) {

@@ -20,10 +20,12 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "copland/evidence.h"
 #include "crypto/keystore.h"
 #include "crypto/sha256.h"
 #include "ctrl/transport.h"
@@ -1020,6 +1022,50 @@ TEST(NetHostilePeer, SwitchClosingWithResultsOwedLeavesServerUp) {
   EXPECT_TRUE(cert->verdict);
   fresh.close();
   server.stop();
+}
+
+// An admitted switch can send any bytes as evidence. 64 KiB of kSeq nest
+// one level per byte; before decoding had a nesting bound, appraising
+// them recursed past the appraiser thread's stack and took the whole
+// server down with SIGSEGV. The test runs in-process, so that regression
+// crashes the test binary. Now the round gets a false verdict, and the
+// same session's next honest round is still appraised true.
+TEST(NetHostilePeer, DeeplyNestedEvidenceGetsFalseVerdictNotACrash) {
+  E2eKeys keys;
+  net::AppraiserServer server(keys.server_config());
+  server.start();
+  net::SwitchClient client(keys.identity("sw0", 0xDEE9'0001));
+  ASSERT_TRUE(client.connect(server.port(), 2000)) << client.error_text();
+  net::ClientSession* session = client.session();
+
+  const crypto::Bytes nested(64 * 1024, 0x05);  // copland::EvidenceKind::kSeq
+  session->send_evidence(nonce_of(300), view(nested));
+  std::optional<bool> verdict;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!verdict.has_value() &&
+         std::chrono::steady_clock::now() < deadline) {
+    (void)client.serve(50, nullptr);
+    for (const ra::Certificate& cert : session->take_results()) {
+      if (cert.nonce.value == nonce_of(300).value) verdict = cert.verdict;
+    }
+  }
+  ASSERT_TRUE(verdict.has_value()) << "no certificate for the nested round";
+  EXPECT_FALSE(*verdict);
+
+  const auto honest = client.round(2000);
+  ASSERT_TRUE(honest.has_value());
+  EXPECT_TRUE(honest->verdict);
+  // The certificate carries the digest of the signed content, as the
+  // decoded tree gives it.
+  crypto::HmacSigner device(keys.device_keys()[0]);
+  const crypto::Bytes sent =
+      net::make_signed_evidence("sw0", keys.golden, honest->nonce, device);
+  EXPECT_EQ(honest->evidence_digest,
+            copland::digest(copland::decode(view(sent))->child));
+  client.close();
+  server.stop();
+  EXPECT_EQ(server.stats().rounds_appraised, 2u);
 }
 
 }  // namespace

@@ -162,7 +162,8 @@ TEST(Cache, PacketLevelNeverCached) {
   Bed bed;
   PeraSwitch sw = bed.make_switch();
   const auto mask = nac::EvidenceDetail::kProgram | nac::EvidenceDetail::kPacket;
-  cache.store(mask, {}, copland::Evidence::empty(), sw.measurement());
+  cache.store(mask, {}, {copland::Evidence::empty(), nullptr},
+              sw.measurement());
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.lookup(mask, {}, sw.measurement()).has_value());
 }

@@ -6,13 +6,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <random>
 #include <set>
 #include <string_view>
 #include <thread>
 
+#include "evidence_oracle.h"
 #include "obs/profiler.h"
 #include "pipeline/pipeline.h"
 
@@ -827,6 +830,219 @@ TEST(PipelineReporting, SimThroughputScalesWithShards) {
             2.0 * one.report.sim_packets_per_sec);
   EXPECT_GE(one.report.latency_p99,
             one.report.latency_p50);
+}
+
+
+// --- byte-level appraisal against the tree-based oracle ---------------------
+
+constexpr unsigned kOracleXmssHeight = 6;
+
+/// Evidence content of one of five shapes, kEmpty among them.
+copland::EvidencePtr random_content(std::mt19937_64& rng) {
+  const crypto::Digest v = crypto::sha256("content-" + std::to_string(rng()));
+  switch (rng() % 5) {
+    case 0:
+      return copland::Evidence::measurement("attest", "sw1", "Program", v,
+                                            "program digest");
+    case 1:
+      return copland::Evidence::nonce_ev(crypto::Nonce{v});
+    case 2:
+      return copland::Evidence::seq(
+          copland::Evidence::measurement("attest", "sw1", "Tables", v, ""),
+          copland::Evidence::nonce_ev(crypto::Nonce{v}));
+    case 3:
+      return copland::Evidence::hashed("sw1", v);
+    default:
+      return copland::Evidence::empty();
+  }
+}
+
+/// A seeded mix of evidence records over 12 flows and 4 shards: direct
+/// signatures under `scheme`, batched (Merkle-proof) signatures, unsigned
+/// records, and, except in every fourth flow, signatures by an
+/// unprovisioned key, undecodable and tampered records; kEmpty content
+/// at the head of every third flow and at random in the middle; and
+/// records of different shards sharing a sequence number.
+std::vector<EvidenceItem> mixed_records(crypto::SignatureScheme scheme,
+                                        std::uint64_t seed) {
+  const std::vector<crypto::Digest> keys =
+      PeraPipeline::shard_keys(root_key(), PipelineOptions{}.shard_key_label, 4);
+  std::vector<std::unique_ptr<crypto::Signer>> signers;
+  for (const crypto::Digest& k : keys) {
+    if (scheme == crypto::SignatureScheme::kXmss) {
+      signers.push_back(
+          std::make_unique<crypto::XmssSigner>(k, kOracleXmssHeight));
+    } else {
+      signers.push_back(std::make_unique<crypto::HmacSigner>(k));
+    }
+  }
+  crypto::HmacSigner rogue(crypto::sha256("unprovisioned"));
+  std::mt19937_64 rng(seed);
+  std::vector<EvidenceItem> items;
+  std::uint64_t seq = 0;
+  for (std::uint64_t flow = 0; flow < 12; ++flow) {
+    for (std::size_t k = 0; k < 10; ++k) {
+      EvidenceItem item;
+      item.flow = flow;
+      if (k == 0 || rng() % 4 != 0) ++seq;  // else: same seq, other shard
+      item.seq = seq;
+      item.shard = static_cast<std::uint32_t>(rng() % 4);
+      crypto::Signer& signer = *signers[item.shard];
+      const copland::EvidencePtr content =
+          k == 0 && flow % 3 == 0 ? copland::Evidence::empty()
+                                  : random_content(rng);
+      const crypto::Digest msg = copland::digest(content);
+      const auto signed_by = [&](crypto::Signature sig) {
+        return copland::encode(
+            copland::Evidence::signature("sw1", content, std::move(sig)));
+      };
+      const std::uint64_t pick = rng() % (flow % 4 == 3 ? 75 : 100);
+      if (pick < 45) {
+        item.evidence = signed_by(signer.sign(msg));
+      } else if (pick < 60) {
+        ::pera::pera::EvidenceBatcher batcher(signer, 4);
+        const std::size_t slot = rng() % 3;
+        for (std::size_t i = 0; i < 3; ++i) {
+          (void)batcher.add(i == slot ? msg : crypto::sha256(std::to_string(i)));
+        }
+        item.evidence = signed_by(batcher.flush_wrapped()[slot]);
+      } else if (pick < 75) {
+        item.evidence = copland::encode(content);
+      } else if (pick < 82) {
+        item.evidence = signed_by(rogue.sign(msg));
+      } else if (pick < 90) {
+        item.evidence = signed_by(signer.sign(msg));
+        item.evidence.resize(rng() % item.evidence.size());  // truncated
+      } else {
+        item.evidence = signed_by(signer.sign(msg));
+        item.evidence[rng() % item.evidence.size()] ^=
+            static_cast<std::uint8_t>(1 + rng() % 255);
+      }
+      items.push_back(std::move(item));
+    }
+  }
+  return items;
+}
+
+TEST(PipelineAppraiseOracle, ByteAppraisalMatchesTreeOracle) {
+  for (const crypto::SignatureScheme scheme :
+       {crypto::SignatureScheme::kHmacDeviceKey,
+        crypto::SignatureScheme::kXmss}) {
+    const VerifierSet verifiers(root_key(), PipelineOptions{}.shard_key_label,
+                                4, scheme, kOracleXmssHeight);
+    std::map<std::uint64_t, std::vector<AppraisedRecord>> got;
+    std::map<std::uint64_t, std::vector<oracle::TreeRecord>> want;
+    std::size_t undecoded = 0;
+    std::size_t bad_sig = 0;
+    for (const EvidenceItem& item : mixed_records(scheme, 0x0DAC1E)) {
+      AppraisedRecord rec = appraise_record(item, verifiers);
+      oracle::TreeRecord ref = oracle::appraise_record(item, verifiers);
+      ASSERT_EQ(rec.decoded, ref.decoded) << "seq " << item.seq;
+      ASSERT_EQ(rec.sig_ok, ref.sig_ok) << "seq " << item.seq;
+      if (ref.decoded) {
+        EXPECT_EQ(rec.content.bytes, copland::encode(ref.content));
+        EXPECT_EQ(rec.content_digest, copland::digest(ref.content));
+        bad_sig += ref.sig_ok ? 0 : 1;
+      } else {
+        EXPECT_FALSE(rec.content);
+        ++undecoded;
+      }
+      got[item.flow].push_back(std::move(rec));
+      want[item.flow].push_back(std::move(ref));
+    }
+    EXPECT_GT(undecoded, 0u);
+    EXPECT_GT(bad_sig, 0u);
+
+    std::size_t ok_flows = 0;
+    for (const nac::CompositionMode mode :
+         {nac::CompositionMode::kChained, nac::CompositionMode::kPointwise}) {
+      for (const auto& [flow, records] : got) {
+        std::vector<AppraisedRecord> mine = records;
+        std::vector<oracle::TreeRecord> theirs = want[flow];
+        const FlowVerdict v = fold_flow(flow, mine, mode);
+        const FlowVerdict r = oracle::fold_flow(flow, theirs, mode);
+        EXPECT_EQ(v.flow, r.flow);
+        EXPECT_EQ(v.records, r.records);
+        EXPECT_EQ(v.signature_failures, r.signature_failures);
+        EXPECT_EQ(v.ok, r.ok);
+        EXPECT_EQ(v.transcript, r.transcript)
+            << "flow " << flow << " mode " << static_cast<int>(mode);
+        ok_flows += v.ok ? 1 : 0;
+      }
+    }
+    EXPECT_GT(ok_flows, 0u);
+    EXPECT_LT(ok_flows, 2 * got.size());
+  }
+}
+
+TEST(PipelineAppraiseOracle, EmptyContentAtTheHeadDropsOutOfTheChain) {
+  // Leading kEmpty content drops out of the chain (Empty + x = x), later
+  // kEmpty content stays in it, and a flow of kEmpty content alone folds
+  // to the Empty chain. Undecodable records never join it.
+  const VerifierSet verifiers(root_key(), PipelineOptions{}.shard_key_label, 1);
+  const crypto::Bytes empty = copland::encode(copland::Evidence::empty());
+  const crypto::Bytes nonce = copland::encode(
+      copland::Evidence::nonce_ev(crypto::Nonce{crypto::sha256("x")}));
+  const crypto::Bytes junk = {0xff, 0x00};
+  const std::vector<std::vector<crypto::Bytes>> flows = {
+      {empty},          {empty, empty},        {empty, nonce},
+      {nonce, empty},   {junk, empty, nonce},  {empty, junk, empty, nonce},
+      {junk},           {},                    {nonce, junk, empty, nonce},
+  };
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    std::vector<AppraisedRecord> mine;
+    std::vector<oracle::TreeRecord> theirs;
+    for (std::size_t i = 0; i < flows[f].size(); ++i) {
+      const EvidenceItem item{f, i, 0, flows[f][i], {}};
+      mine.push_back(appraise_record(item, verifiers));
+      theirs.push_back(oracle::appraise_record(item, verifiers));
+    }
+    const FlowVerdict v = fold_flow(f, mine, nac::CompositionMode::kChained);
+    const FlowVerdict r =
+        oracle::fold_flow(f, theirs, nac::CompositionMode::kChained);
+    EXPECT_EQ(v.transcript, r.transcript) << "flow " << f;
+    EXPECT_EQ(v.ok, r.ok) << "flow " << f;
+  }
+}
+
+TEST(PipelineAppraiseOracle, LongChainedFlowFoldsOnADefaultStackThread) {
+  const auto record = [](std::uint64_t i) {
+    crypto::Nonce n{};
+    std::memcpy(n.value.v.data(), &i, sizeof i);
+    EvidenceItem item;
+    item.seq = i;
+    item.evidence = copland::encode(copland::Evidence::nonce_ev(n));
+    return item;
+  };
+  const VerifierSet verifiers(root_key(), PipelineOptions{}.shard_key_label, 1);
+  for (const std::size_t n : {1, 2, 3, 64, 1000}) {
+    std::vector<AppraisedRecord> mine;
+    std::vector<oracle::TreeRecord> theirs;
+    for (std::uint64_t i = n; i-- > 0;) {
+      mine.push_back(appraise_record(record(i), verifiers));
+      theirs.push_back(oracle::appraise_record(record(i), verifiers));
+    }
+    EXPECT_EQ(fold_flow(1, mine, nac::CompositionMode::kChained).transcript,
+              oracle::fold_flow(1, theirs, nac::CompositionMode::kChained)
+                  .transcript)
+        << n << " records";
+  }
+
+  // A tree fold of this flow recurses once per record and overflows a
+  // default thread stack; the byte fold must not.
+  constexpr std::size_t kRecords = 300000;
+  std::vector<AppraisedRecord> records;
+  records.reserve(kRecords);
+  for (std::uint64_t i = kRecords; i-- > 0;) {
+    records.push_back(appraise_record(record(i), verifiers));
+  }
+  FlowVerdict v;
+  std::thread folder(
+      [&] { v = fold_flow(2, records, nac::CompositionMode::kChained); });
+  folder.join();
+  EXPECT_EQ(v.records, kRecords);
+  EXPECT_TRUE(v.ok);
+  EXPECT_EQ(v.signature_failures, 0u);
 }
 
 }  // namespace
