@@ -8,8 +8,9 @@
 //
 //   * incremental — tables_digest() + state_digest(): O(changes) dirty
 //     Merkle leaves rehashed since the previous measurement
-//   * full        — tables_digest_full() + state_digest_full(): the O(n)
-//     reference recompute
+//   * full        — tables_digest_full() + state_digest_full() from
+//     tests/table_oracle.h: the O(n) reference recompute over the same
+//     Merkle tree
 //
 // Acceptance gates (exit code):
 //   * roots bit-identical between the two paths in EVERY cell (always)
@@ -107,8 +108,8 @@ class Workload {
     const crypto::Digest ti = prog.tables_digest();
     const crypto::Digest ri = regs.state_digest();
     const auto t1 = Clock::now();
-    const crypto::Digest tf = prog.tables_digest_full();
-    const crypto::Digest rf = regs.state_digest_full();
+    const crypto::Digest tf = dataplane::oracle::tables_digest_full(prog);
+    const crypto::Digest rf = dataplane::oracle::state_digest_full(regs);
     const auto t2 = Clock::now();
     r.incr_ns = static_cast<double>(elapsed_ns(t0, t1));
     r.full_ns = static_cast<double>(elapsed_ns(t1, t2));

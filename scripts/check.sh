@@ -26,7 +26,7 @@ scripts/run_verify_fixtures.sh build
 # Fuzz smoke over the attacker-facing input surfaces: under clang these
 # are libFuzzer+ASan binaries, under gcc the standalone replay/mutation
 # driver — either way the same invocation, bounded to 15 s per harness.
-echo "== fuzz smoke (policy parser + wire decoders + packet path) =="
+echo "== fuzz smoke (policy parser + wire decoders + packet path + P4-mini) =="
 build/fuzz/fuzz_copland_parser -max_total_time=15 -runs=200000 \
   tests/fixtures/verify
 build/fuzz/fuzz_evidence_decoder -max_total_time=15 -runs=200000 \
@@ -37,6 +37,8 @@ build/fuzz/fuzz_evidence_payload -max_total_time=15 -runs=200000 \
   tests/fixtures/fuzz
 build/fuzz/fuzz_dataplane_packet -max_total_time=15 -runs=200000 \
   tests/fixtures/fuzz
+build/fuzz/fuzz_p4mini -max_total_time=15 -runs=200000 \
+  tests/fixtures/p4mini
 
 for b in build/bench/bench_*; do
   # The gated benches write their committed JSON records to the cwd; each

@@ -1,68 +1,176 @@
 #include "crypto/merkle.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
 namespace pera::crypto {
 
-namespace {
-
-// Build one tree level: hash each sibling pair through the backend
-// engine's multi-buffer lanes (each left||right pair is exactly one
-// message block), promoting an unpaired trailing node unchanged.
-std::vector<Digest> build_level(const std::vector<Digest>& prev) {
-  const std::size_t pairs = prev.size() / 2;
-  std::vector<Digest> next((prev.size() + 1) / 2);
-
-  constexpr std::size_t kChunk = 64;  // pairs staged per batch
-  alignas(32) std::uint8_t blocks[kChunk][64];
-  for (std::size_t base = 0; base < pairs; base += kChunk) {
-    const std::size_t m = base + kChunk <= pairs ? kChunk : pairs - base;
-    for (std::size_t j = 0; j < m; ++j) {
-      std::memcpy(blocks[j], prev[2 * (base + j)].v.data(), 32);
-      std::memcpy(blocks[j] + 32, prev[2 * (base + j) + 1].v.data(), 32);
-    }
-    sha256_block_multi(blocks, next.data() + base, m);
-  }
-  if (prev.size() % 2 == 1) {
-    next.back() = prev.back();  // promote unpaired node
-  }
-  return next;
+void MerkleTree::assign(std::vector<Digest> leaves) {
+  levels_.clear();
+  if (!leaves.empty()) levels_.push_back(std::move(leaves));
+  dirty_.clear();
+  all_dirty_ = true;
+  clean_ = false;
+  ++stats_.full_rebuilds;
 }
 
-}  // namespace
+void MerkleTree::set_leaf(std::size_t index, const Digest& d) {
+  if (index >= leaf_count()) {
+    throw std::out_of_range("MerkleTree::set_leaf: index");
+  }
+  if (levels_[0][index] == d) return;  // no-op write: subtree stays valid
+  levels_[0][index] = d;
+  dirty_.push_back(index);
+  clean_ = false;
+  ++stats_.leaf_writes;
+}
 
-MerkleTree::MerkleTree(std::vector<Digest> leaves) {
-  if (leaves.empty()) {
-    root_ = Digest{};
+std::size_t MerkleTree::append_leaf(const Digest& d) {
+  if (levels_.empty()) levels_.emplace_back();
+  auto& leaves = levels_[0];
+  const std::size_t index = leaves.size();
+  leaves.push_back(d);
+  dirty_.push_back(index);
+  // The formerly-last leaf's ancestors are the last node of every level;
+  // growing the tree can flip their promotion status.
+  if (index > 0) dirty_.push_back(index - 1);
+  clean_ = false;
+  ++stats_.leaf_writes;
+  return index;
+}
+
+void MerkleTree::truncate(std::size_t new_count) {
+  if (new_count >= leaf_count()) return;
+  ++stats_.truncates;
+  if (new_count == 0) {
+    reset();
     return;
   }
-  levels_.push_back(std::move(leaves));
-  while (levels_.back().size() > 1) {
-    levels_.push_back(build_level(levels_.back()));
-  }
-  root_ = levels_.back()[0];
+  levels_[0].resize(new_count);
+  // The new last leaf's path covers every level's right edge, where
+  // promotion status may have changed.
+  dirty_.push_back(new_count - 1);
+  clean_ = false;
 }
 
-MerkleProof MerkleTree::prove(std::uint64_t index) const {
-  if (levels_.empty() || index >= levels_[0].size()) {
+void MerkleTree::reset() {
+  levels_.clear();
+  dirty_.clear();
+  all_dirty_ = false;
+  root_ = Digest{};
+  clean_ = true;
+}
+
+const Digest& MerkleTree::leaf(std::size_t index) const {
+  if (index >= leaf_count()) {
+    throw std::out_of_range("MerkleTree::leaf: index");
+  }
+  return levels_[0][index];
+}
+
+const Digest& MerkleTree::root() {
+  if (!clean_) flush();
+  return root_;
+}
+
+MerkleProof MerkleTree::prove(std::uint64_t index) {
+  if (index >= leaf_count()) {
     throw std::out_of_range("MerkleTree::prove: leaf index out of range");
   }
+  if (!clean_) flush();
   MerkleProof proof;
   proof.leaf_index = index;
-  std::size_t idx = index;
+  std::uint64_t idx = index;
   for (std::size_t lvl = 0; lvl + 1 < levels_.size(); ++lvl) {
     const auto& nodes = levels_[lvl];
-    const std::size_t sibling = (idx % 2 == 0) ? idx + 1 : idx - 1;
-    if (sibling < nodes.size()) {
-      proof.siblings.push_back(nodes[sibling]);
-    } else {
-      // Unpaired node: mark with the zero digest; verification skips it.
-      proof.siblings.push_back(Digest{});
-    }
+    const std::uint64_t sibling = idx ^ 1;
+    // Unpaired node: mark with the zero digest; verification skips it.
+    proof.siblings.push_back(sibling < nodes.size() ? nodes[sibling]
+                                                    : Digest{});
     idx /= 2;
   }
   return proof;
+}
+
+void MerkleTree::flush() {
+  ++stats_.flushes;
+  if (levels_.empty() || levels_[0].empty()) {
+    reset();
+    return;
+  }
+
+  // Dirty node indices at the current level (sorted, unique, in range);
+  // unused after assign(), which rebuilds every level whole.
+  std::vector<std::size_t> cur;
+  std::vector<std::size_t> parents;
+  if (!all_dirty_) {
+    cur = std::move(dirty_);
+    std::sort(cur.begin(), cur.end());
+    cur.erase(std::unique(cur.begin(), cur.end()), cur.end());
+    while (!cur.empty() && cur.back() >= levels_[0].size()) cur.pop_back();
+  }
+
+  constexpr std::size_t kChunk = 64;  // parent nodes staged per hash batch
+  alignas(32) std::uint8_t blocks[kChunk][64];
+  Digest outs[kChunk];
+  std::size_t staged[kChunk];
+
+  std::size_t lvl = 0;
+  while (levels_[lvl].size() > 1) {
+    // Grow the outer vector *before* taking inner references: emplace_back
+    // may reallocate it and would dangle them.
+    if (lvl + 1 == levels_.size()) levels_.emplace_back();
+    const auto& prev = levels_[lvl];
+    const std::size_t next_size = (prev.size() + 1) / 2;
+    auto& next = levels_[lvl + 1];
+    const std::size_t old_size = next.size();
+    next.resize(next_size);
+
+    // Each left||right sibling pair is exactly one message block.
+    std::size_t m = 0;
+    const auto flush_batch = [&] {
+      if (m == 0) return;
+      sha256_block_multi(blocks, outs, m);
+      for (std::size_t k = 0; k < m; ++k) next[staged[k]] = outs[k];
+      stats_.nodes_rehashed += m;
+      m = 0;
+    };
+    const auto rehash = [&](std::size_t p) {
+      const std::size_t li = 2 * p;
+      if (li + 1 < prev.size()) {
+        std::memcpy(blocks[m], prev[li].v.data(), 32);
+        std::memcpy(blocks[m] + 32, prev[li + 1].v.data(), 32);
+        staged[m] = p;
+        if (++m == kChunk) flush_batch();
+      } else {
+        next[p] = prev[li];  // promote unpaired trailing node unchanged
+      }
+    };
+    if (all_dirty_) {
+      for (std::size_t p = 0; p < next_size; ++p) rehash(p);
+    } else {
+      parents.clear();
+      for (const std::size_t i : cur) parents.push_back(i / 2);
+      // Tail nodes that appeared when the level grew (their children are
+      // appended leaves' ancestors, so this is usually redundant, but it
+      // keeps the invariant local to this loop).
+      for (std::size_t j = old_size; j < next_size; ++j) parents.push_back(j);
+      std::sort(parents.begin(), parents.end());
+      parents.erase(std::unique(parents.begin(), parents.end()),
+                    parents.end());
+      for (const std::size_t p : parents) rehash(p);
+      cur.swap(parents);
+    }
+    flush_batch();
+    ++lvl;
+  }
+
+  levels_.resize(lvl + 1);  // drop levels left over from truncation
+  root_ = levels_[lvl][0];
+  dirty_.clear();
+  all_dirty_ = false;
+  clean_ = true;
 }
 
 Digest MerkleTree::root_from_proof(const Digest& leaf,
@@ -122,7 +230,8 @@ XmssKeyPair::XmssKeyPair(const Digest& seed, unsigned height)
     const auto sk = wots::keygen_secret(seed_, i);
     leaves.push_back(wots::derive_public(sk).compressed);
   }
-  tree_.emplace(std::move(leaves));
+  tree_.assign(std::move(leaves));
+  root_ = tree_.root();
 }
 
 XmssSignature XmssKeyPair::sign(const Digest& message) {
@@ -133,7 +242,7 @@ XmssSignature XmssKeyPair::sign(const Digest& message) {
   XmssSignature sig;
   sig.leaf_index = leaf;
   sig.ots = wots::sign(wots::keygen_secret(seed_, leaf), message);
-  sig.auth_path = tree_->prove(leaf);
+  sig.auth_path = tree_.prove(leaf);
   return sig;
 }
 

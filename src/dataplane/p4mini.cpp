@@ -105,6 +105,9 @@ class Lexer {
       }
       while (pos_ < src_.size() &&
              std::isxdigit(static_cast<unsigned char>(src_[pos_]))) {
+        if (value >> 60 != 0) {
+          throw P4MiniError("literal exceeds 64 bits", line_);
+        }
         const char h = src_[pos_++];
         const int nib = h <= '9'   ? h - '0'
                         : h <= 'F' ? h - 'A' + 10
@@ -114,7 +117,11 @@ class Lexer {
     } else {
       while (pos_ < src_.size() &&
              std::isdigit(static_cast<unsigned char>(src_[pos_]))) {
-        value = value * 10 + static_cast<std::uint64_t>(src_[pos_++] - '0');
+        const auto digit = static_cast<std::uint64_t>(src_[pos_++] - '0');
+        if (value > (~std::uint64_t{0} - digit) / 10) {
+          throw P4MiniError("literal exceeds 64 bits", line_);
+        }
+        value = value * 10 + digit;
       }
     }
     return {Tok::kNumber, std::string(src_.substr(start, pos_ - start)),
@@ -214,10 +221,11 @@ class Compiler {
       FieldSpec field;
       field.name = expect(Tok::kIdent).text;
       expect(Tok::kColon);
-      field.bits = static_cast<unsigned>(expect(Tok::kNumber).number);
-      if (field.bits == 0 || field.bits > 64) {
+      const std::uint64_t bits = expect(Tok::kNumber).number;
+      if (bits == 0 || bits > 64) {
         throw P4MiniError("field width must be 1..64", cur().line);
       }
+      field.bits = static_cast<unsigned>(bits);
       expect(Tok::kSemi);
       spec.fields.push_back(std::move(field));
     }
@@ -407,7 +415,7 @@ class Compiler {
         key.kind = MatchKind::kLpm;
         if (at(Tok::kSlash)) {  // explicit width override: lpm/32
           advance();
-          key.width = static_cast<unsigned>(expect(Tok::kNumber).number);
+          key.width = static_cast<unsigned>(number_upto(64, "lpm width"));
         }
       } else if (kind.text == "ternary") {
         key.kind = MatchKind::kTernary;
@@ -431,8 +439,8 @@ class Compiler {
         }
         if (at(Tok::kIdent) && cur().text == "prio") {
           advance();
-          entry.priority =
-              static_cast<std::uint32_t>(expect(Tok::kNumber).number);
+          entry.priority = static_cast<std::uint32_t>(
+              number_upto(0xffffffffu, "priority"));
         }
         expect(Tok::kArrow);
         entry.action = expect(Tok::kIdent).text;
@@ -509,8 +517,8 @@ class Compiler {
     const std::uint64_t value = expect(Tok::kNumber).number;
     if (at(Tok::kSlash)) {
       advance();
-      return KeyMatch::lpm(value,
-                           static_cast<unsigned>(expect(Tok::kNumber).number));
+      return KeyMatch::lpm(
+          value, static_cast<unsigned>(number_upto(64, "prefix length")));
     }
     if (at(Tok::kAmp)) {
       advance();
@@ -536,6 +544,17 @@ class Compiler {
       throw P4MiniError("unexpected token '" + cur().text + "'", cur().line);
     }
     return advance();
+  }
+
+  // A number that must fit a narrower field than the lexer's 64 bits.
+  std::uint64_t number_upto(std::uint64_t max, const char* what) {
+    const Token t = expect(Tok::kNumber);
+    if (t.number > max) {
+      throw P4MiniError(std::string(what) + " " + t.text + " exceeds " +
+                            std::to_string(max),
+                        t.line);
+    }
+    return t.number;
   }
 
   void expect_kw(const std::string& kw) {

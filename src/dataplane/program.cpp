@@ -101,13 +101,6 @@ crypto::Digest DataplaneProgram::tables_digest() const {
   return crypto::MerkleTree(std::move(leaves)).root();
 }
 
-crypto::Digest DataplaneProgram::tables_digest_full() const {
-  std::vector<crypto::Digest> leaves;
-  leaves.reserve(tables_.size());
-  for (const auto& t : tables_) leaves.push_back(t->content_digest_full());
-  return crypto::MerkleTree(std::move(leaves)).root();
-}
-
 std::uint64_t DataplaneProgram::tables_revision() const {
   std::uint64_t sum = 0;
   for (const auto& t : tables_) sum += t->revision();

@@ -107,10 +107,6 @@ class DataplaneProgram {
   /// measurement); the top tree over the per-table roots is tiny.
   [[nodiscard]] crypto::Digest tables_digest() const;
 
-  /// Reference full recompute (every entry of every table rehashed).
-  /// Bit-identical to tables_digest().
-  [[nodiscard]] crypto::Digest tables_digest_full() const;
-
   /// Sum of every table's content revision — advances exactly when some
   /// table's content (and hence tables_digest()) can have changed.
   [[nodiscard]] std::uint64_t tables_revision() const;

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "crypto/merkle.h"
 #include "obs/obs.h"
 
 namespace pera::dataplane {
@@ -64,8 +63,16 @@ bool RegisterFile::write_at(std::size_t handle, std::size_t index,
   return true;
 }
 
-std::size_t RegisterFile::size(const std::string& name) const {
-  return regs_[handle_of(name)].values.size();
+const std::vector<std::uint64_t>& RegisterFile::values(
+    const std::string& name) const {
+  return regs_[handle_of(name)].values;
+}
+
+std::vector<std::string> RegisterFile::names() const {
+  std::vector<std::string> out;
+  out.reserve(index_.size());
+  for (const auto& entry : index_) out.push_back(entry.first);
+  return out;
 }
 
 crypto::Digest RegisterFile::schema_leaf(const std::string& name,
@@ -139,20 +146,6 @@ crypto::Digest RegisterFile::state_digest() const {
   PERA_OBS_COUNT("dataplane.digest.reg.nodes_rehashed",
                  tree_.stats().nodes_rehashed - before);
   return root;
-}
-
-crypto::Digest RegisterFile::state_digest_full() const {
-  std::vector<crypto::Digest> leaves;
-  for (const auto& [name, handle] : index_) {
-    const Reg& reg = regs_[handle];
-    leaves.push_back(schema_leaf(name, reg.values.size()));
-    const std::size_t chunks =
-        (reg.values.size() + kChunkValues - 1) / kChunkValues;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      leaves.push_back(chunk_leaf(reg.values, c));
-    }
-  }
-  return crypto::MerkleTree(std::move(leaves)).root();
 }
 
 }  // namespace pera::dataplane

@@ -6,9 +6,9 @@
 // registers per leaf) plus one schema leaf per array, maintained
 // incrementally: write() sets a bit in a per-array dirty-chunk bitmap and
 // only dirty chunks are rehashed at the next digest, so re-attestation
-// costs O(writes since last epoch) instead of O(registers).
-// state_digest_full() is the O(n) reference recompute; the two are
-// bit-identical (asserted in tests and bench_state).
+// costs O(writes since last epoch) instead of O(registers). The O(n)
+// reference recompute the tests and bench_state hold it to lives in
+// tests/table_oracle.h, over schema_leaf() and chunk_leaf().
 #pragma once
 
 #include <cstdint>
@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "crypto/bytes.h"
-#include "crypto/incremental_merkle.h"
+#include "crypto/merkle.h"
 #include "crypto/sha256.h"
 
 namespace pera::dataplane {
@@ -54,15 +54,27 @@ class RegisterFile {
   [[nodiscard]] bool write_at(std::size_t handle, std::size_t index,
                               std::uint64_t value);
 
-  [[nodiscard]] std::size_t size(const std::string& name) const;
+  [[nodiscard]] std::size_t size(const std::string& name) const {
+    return values(name).size();
+  }
+
+  /// An array's values; throws std::out_of_range on unknown register.
+  [[nodiscard]] const std::vector<std::uint64_t>& values(
+      const std::string& name) const;
+
+  /// Declared array names, in digest (name) order.
+  [[nodiscard]] std::vector<std::string> names() const;
 
   /// Merkle root of all register contents (name-ordered) — the
   /// program-state measurement PERA attests at the kProgramState inertia
   /// level. Incremental: only chunks written since the last call rehash.
   [[nodiscard]] crypto::Digest state_digest() const;
 
-  /// Reference full recompute, bit-identical to state_digest().
-  [[nodiscard]] crypto::Digest state_digest_full() const;
+  /// Merkle leaves: one schema leaf per array, then one per value chunk.
+  [[nodiscard]] static crypto::Digest schema_leaf(const std::string& name,
+                                                  std::size_t size);
+  [[nodiscard]] static crypto::Digest chunk_leaf(
+      const std::vector<std::uint64_t>& values, std::size_t chunk);
 
   /// Number of value-changing writes since construction.
   [[nodiscard]] std::uint64_t write_count() const { return writes_; }
@@ -80,10 +92,6 @@ class RegisterFile {
     mutable std::vector<std::uint64_t> dirty_chunks;  // 1 bit per chunk
   };
 
-  [[nodiscard]] static crypto::Digest schema_leaf(const std::string& name,
-                                                  std::size_t size);
-  [[nodiscard]] static crypto::Digest chunk_leaf(
-      const std::vector<std::uint64_t>& values, std::size_t chunk);
   void rebuild_tree() const;
 
   [[nodiscard]] std::size_t handle_of(const std::string& name) const;
@@ -93,7 +101,7 @@ class RegisterFile {
   std::uint64_t writes_ = 0;
   std::uint64_t decls_ = 0;
 
-  mutable crypto::IncrementalMerkleTree tree_;
+  mutable crypto::MerkleTree tree_;
   mutable bool tree_init_ = false;
   mutable bool layout_stale_ = false;  // declare() since the last (re)build
 };

@@ -273,11 +273,12 @@ crypto::Digest Table::entry_leaf(const TableEntry& e) {
   return crypto::sha256(crypto::BytesView{buf.data(), buf.size()});
 }
 
-crypto::Digest Table::default_leaf() const {
+crypto::Digest Table::default_leaf(const std::string& action,
+                                   const std::vector<std::uint64_t>& params) {
   crypto::Bytes buf;
-  crypto::append_u32(buf, static_cast<std::uint32_t>(default_action_.size()));
-  crypto::append(buf, crypto::as_bytes(default_action_));
-  for (std::uint64_t p : default_params_) crypto::append_u64(buf, p);
+  crypto::append_u32(buf, static_cast<std::uint32_t>(action.size()));
+  crypto::append(buf, crypto::as_bytes(action));
+  for (std::uint64_t p : params) crypto::append_u64(buf, p);
   return crypto::sha256(crypto::BytesView{buf.data(), buf.size()});
 }
 
@@ -286,7 +287,7 @@ void Table::flush_dirty_leaves() const {
     std::vector<crypto::Digest> leaves;
     leaves.reserve(entries_.size() + 1);
     for (const auto& e : entries_) leaves.push_back(entry_leaf(e));
-    leaves.push_back(default_leaf());
+    leaves.push_back(default_leaf(default_action_, default_params_));
     tree_.assign(std::move(leaves));
     tree_init_ = true;
     dirty_entries_.clear();
@@ -303,7 +304,8 @@ void Table::flush_dirty_leaves() const {
     ++dirty;
   }
   if (default_dirty_) {
-    tree_.set_leaf(entries_.size(), default_leaf());
+    tree_.set_leaf(entries_.size(),
+                   default_leaf(default_action_, default_params_));
     ++dirty;
   }
   dirty_entries_.clear();
@@ -319,14 +321,6 @@ crypto::Digest Table::content_digest() const {
   PERA_OBS_COUNT("dataplane.digest.table.nodes_rehashed",
                  tree_.stats().nodes_rehashed - before);
   return root;
-}
-
-crypto::Digest Table::content_digest_full() const {
-  std::vector<crypto::Digest> leaves;
-  leaves.reserve(entries_.size() + 1);
-  for (const auto& e : entries_) leaves.push_back(entry_leaf(e));
-  leaves.push_back(default_leaf());
-  return crypto::MerkleTree(std::move(leaves)).root();
 }
 
 crypto::Bytes Table::encode_schema() const {

@@ -15,8 +15,9 @@
 //   * content_digest() is incremental: each entry owns a Merkle leaf slot
 //     that is invalidated on add/remove/modify/default-action change, so
 //     re-measuring the table costs O(changes since last digest), not
-//     O(entries). content_digest_full() keeps the O(n) reference path and
-//     the two are bit-identical by construction (asserted in tests/bench).
+//     O(entries). The O(n) reference recompute the tests and bench_state
+//     hold it to lives in tests/table_oracle.h, over entry_leaf() and
+//     default_leaf().
 //   * match() uses an exact-match hash index when every key spec is
 //     kExact (LPM/ternary/mixed tables keep the linear scan), so per-packet
 //     cost is O(1) at million-entry scale. The reference scan the tests
@@ -29,7 +30,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "crypto/incremental_merkle.h"
 #include "crypto/merkle.h"
 #include "dataplane/field.h"
 
@@ -167,9 +167,10 @@ class Table {
   /// leaves dirtied since the previous call are rehashed.
   [[nodiscard]] crypto::Digest content_digest() const;
 
-  /// Reference full recompute (hashes every entry, rebuilds the tree).
-  /// Bit-identical to content_digest().
-  [[nodiscard]] crypto::Digest content_digest_full() const;
+  /// Merkle leaf of one entry, and of the default action (the last leaf).
+  [[nodiscard]] static crypto::Digest entry_leaf(const TableEntry& e);
+  [[nodiscard]] static crypto::Digest default_leaf(
+      const std::string& action, const std::vector<std::uint64_t>& params);
 
   /// Canonical encoding of the table *schema* (name/keys), for program
   /// attestation (entries are state, schema is program).
@@ -184,8 +185,6 @@ class Table {
                                    std::span<const std::uint64_t> key) const;
   [[nodiscard]] std::int32_t resolve(const std::string& action,
                                      bool is_default) const;
-  [[nodiscard]] static crypto::Digest entry_leaf(const TableEntry& e);
-  [[nodiscard]] crypto::Digest default_leaf() const;
   void flush_dirty_leaves() const;
   void rebuild_index();
   void index_add(std::size_t index);
@@ -204,7 +203,7 @@ class Table {
   // action -> leaf entry_count(). Structural tree ops (append/truncate/
   // slot shifts) happen eagerly with placeholder digests; the actual leaf
   // hashes are computed lazily in content_digest().
-  mutable crypto::IncrementalMerkleTree tree_;
+  mutable crypto::MerkleTree tree_;
   mutable bool tree_init_ = false;
   mutable std::vector<std::size_t> dirty_entries_;
   mutable bool default_dirty_ = false;

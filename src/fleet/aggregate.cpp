@@ -343,7 +343,7 @@ AggregateCheck verify_aggregate(
   std::vector<Digest> leaves;
   leaves.reserve(agg.entries.size());
   for (const auto& e : agg.entries) leaves.push_back(e.leaf_digest());
-  crypto::IncrementalMerkleTree recompute(std::move(leaves));
+  crypto::MerkleTree recompute(std::move(leaves));
   if (recompute.root() != agg.merkle_root) return fail("merkle root mismatch");
 
   // Deterministic freshness pass over every carried evidence blob: decode,

@@ -31,8 +31,8 @@
 #include <vector>
 
 #include "copland/evidence.h"
-#include "crypto/incremental_merkle.h"
 #include "crypto/keystore.h"
+#include "crypto/merkle.h"
 #include "crypto/nonce.h"
 #include "crypto/signer.h"
 #include "nac/detail.h"
@@ -123,7 +123,7 @@ struct WaveCommand {
 [[nodiscard]] copland::EvidencePtr to_evidence(const Aggregate& agg);
 
 /// Builds a region's composition tree across waves, re-hashing only the
-/// members whose leaf changed (O(Δ) via IncrementalMerkleTree).
+/// members whose leaf changed (O(Δ) via MerkleTree).
 class EvidenceAggregator {
  public:
   EvidenceAggregator(std::string region, std::string appraiser,
@@ -150,7 +150,7 @@ class EvidenceAggregator {
   /// are filled with kTimeout entries, so seal() is always total.
   [[nodiscard]] Aggregate seal(crypto::Signer& signer);
 
-  [[nodiscard]] const crypto::IncrementalMerkleTree::Stats& tree_stats()
+  [[nodiscard]] const crypto::MerkleTree::Stats& tree_stats()
       const {
     return tree_.stats();
   }
@@ -160,7 +160,7 @@ class EvidenceAggregator {
   std::string appraiser_;
   std::vector<std::string> members_;  // sorted
   std::map<std::string, std::size_t> index_;
-  crypto::IncrementalMerkleTree tree_;
+  crypto::MerkleTree tree_;
   std::vector<std::optional<AggregateEntry>> entries_;
   std::vector<crypto::Digest> leaves_;
   std::uint64_t wave_ = 0;

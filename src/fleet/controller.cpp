@@ -94,7 +94,7 @@ void RegionalNode::forge_member(const std::string& member, bool forge) {
   }
 }
 
-const crypto::IncrementalMerkleTree::Stats* RegionalNode::tree_stats(
+const crypto::MerkleTree::Stats* RegionalNode::tree_stats(
     const std::string& region) const {
   const auto it = regions_.find(region);
   if (it == regions_.end() || !it->second.aggregator) return nullptr;

@@ -109,7 +109,7 @@ class RegionalNode final : public netsim::NodeBehavior {
     return transport_;
   }
   /// Composition-tree work counters for `region` (O(Δ) assertions).
-  [[nodiscard]] const crypto::IncrementalMerkleTree::Stats* tree_stats(
+  [[nodiscard]] const crypto::MerkleTree::Stats* tree_stats(
       const std::string& region) const;
 
  private:

@@ -11,7 +11,6 @@ const char* to_string(SpanKind k) {
     case SpanKind::kCacheMiss: return "cache_miss";
     case SpanKind::kSampleDecision: return "sample_decision";
     case SpanKind::kEvidenceCreate: return "evidence_create";
-    case SpanKind::kEvidenceInspect: return "evidence_inspect";
     case SpanKind::kEvidenceCompose: return "evidence_compose";
     case SpanKind::kSign: return "sign";
     case SpanKind::kVerify: return "verify";

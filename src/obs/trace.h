@@ -26,7 +26,6 @@ enum class SpanKind : std::uint8_t {
   kCacheMiss,        // lookup missed (includes epoch invalidations)
   kSampleDecision,   // sampler chose attest (value=1) or skip (value=0)
   kEvidenceCreate,   // engine Create (Fig. 3 block E)
-  kEvidenceInspect,  // engine Inspect
   kEvidenceCompose,  // engine Compose
   kSign,             // sign unit (Fig. 3 block D)
   kVerify,           // signature verification

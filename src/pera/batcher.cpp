@@ -26,14 +26,15 @@ std::optional<std::vector<BatchedSignature>> EvidenceBatcher::add(
 
 std::vector<BatchedSignature> EvidenceBatcher::flush() {
   if (pending_.empty()) return {};
-  const crypto::MerkleTree tree(pending_);
-  const crypto::Signature root_sig = signer_->sign(tree.root());
-  std::vector<BatchedSignature> receipts;
-  receipts.reserve(pending_.size());
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    receipts.push_back(BatchedSignature{tree.root(), root_sig, tree.prove(i)});
-  }
+  crypto::MerkleTree tree(std::move(pending_));
   pending_.clear();
+  const crypto::Digest root = tree.root();
+  const crypto::Signature root_sig = signer_->sign(root);
+  std::vector<BatchedSignature> receipts;
+  receipts.reserve(tree.leaf_count());
+  for (std::size_t i = 0; i < tree.leaf_count(); ++i) {
+    receipts.push_back(BatchedSignature{root, root_sig, tree.prove(i)});
+  }
   ++batches_;
   PERA_OBS_COUNT("pera.batcher.batches");
   PERA_OBS_COUNT("pera.batcher.items", receipts.size());

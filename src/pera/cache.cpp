@@ -1,5 +1,7 @@
 #include "pera/cache.h"
 
+#include <algorithm>
+
 #include "obs/obs.h"
 
 namespace pera::pera {
@@ -47,6 +49,7 @@ std::optional<CachedEvidence> EvidenceCache::lookup(
     }
   }
   ++stats_.hits;
+  it->second.last_used = ++tick_;
   PERA_OBS_COUNT("pera.cache.hit");
   PERA_OBS_EVENT(obs::SpanKind::kCacheHit, "pera.cache", 0, detail);
   return it->second.evidence;
@@ -60,12 +63,20 @@ void EvidenceCache::store(nac::DetailMask detail, const crypto::Nonce& nonce,
   if (nac::has_detail(detail, nac::EvidenceDetail::kPacket)) return;
   Entry entry;
   entry.evidence = std::move(evidence);
+  entry.last_used = ++tick_;
   for (nac::EvidenceDetail level : kLevels) {
     if (nac::has_detail(detail, level)) {
       entry.epochs[level] = mu.epoch(level);
     }
   }
-  entries_[Key{detail, nonce.value, variant}] = std::move(entry);
+  const Key key{detail, nonce.value, variant};
+  if (entries_.size() >= kCapacity && !entries_.contains(key)) {
+    entries_.erase(std::min_element(
+        entries_.begin(), entries_.end(), [](const auto& a, const auto& b) {
+          return a.second.last_used < b.second.last_used;
+        }));
+  }
+  entries_[key] = std::move(entry);
   PERA_OBS_GAUGE("pera.cache.entries",
                  static_cast<std::int64_t>(entries_.size()));
 }

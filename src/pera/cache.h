@@ -4,7 +4,9 @@
 // A cached entry records the epoch of every detail level it covers; it is
 // valid while all those epochs are unchanged. Nonce-bound evidence keys on
 // the nonce too — fresh challenges intentionally defeat caching, which is
-// exactly the freshness/overhead trade-off Fig. 4 describes.
+// exactly the freshness/overhead trade-off Fig. 4 describes. A finished
+// nonce round's entries are never read again, so the cache holds at most
+// kCapacity entries and evicts the least recently used one.
 #pragma once
 
 #include <map>
@@ -40,6 +42,10 @@ struct CachedEvidence {
 
 class EvidenceCache {
  public:
+  /// Most entries held at once, however many distinct nonces arrive. A
+  /// nonce round fills one slot per (detail, variant) it asks for.
+  static constexpr std::size_t kCapacity = 8;
+
   explicit EvidenceCache(bool enabled = true) : enabled_(enabled) {}
 
   void set_enabled(bool enabled) { enabled_ = enabled; }
@@ -73,10 +79,12 @@ class EvidenceCache {
   struct Entry {
     CachedEvidence evidence;
     std::map<nac::EvidenceDetail, std::uint64_t> epochs;
+    std::uint64_t last_used = 0;  // tick of the latest store or hit
   };
 
   bool enabled_;
   std::map<Key, Entry> entries_;
+  std::uint64_t tick_ = 0;
   CacheStats stats_;
 };
 

@@ -141,19 +141,4 @@ EngineResult EvidenceEngine::compose(const EvidencePtr& prior,
   return res;
 }
 
-std::pair<std::vector<EvidencePtr>, netsim::SimTime> EvidenceEngine::inspect(
-    const nac::EvidenceCarrier& carrier) const {
-  std::vector<EvidencePtr> out;
-  netsim::SimTime cost = 0;
-  out.reserve(carrier.records.size());
-  for (const auto& rec : carrier.records) {
-    out.push_back(copland::decode(
-        crypto::BytesView{rec.evidence.data(), rec.evidence.size()}));
-    cost += costs_.compose_cost;
-  }
-  PERA_OBS_EVENT(obs::SpanKind::kEvidenceInspect, place_, cost,
-                 carrier.records.size());
-  return {std::move(out), cost};
-}
-
 }  // namespace pera::pera

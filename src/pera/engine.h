@@ -55,12 +55,6 @@ class EvidenceEngine {
                                      const copland::EvidencePtr& fresh,
                                      nac::CompositionMode mode) const;
 
-  /// Decode and structurally check an in-band carrier (Fig. 3 E
-  /// "Inspect"). Returns the decoded evidence list cost-accounted; throws
-  /// std::invalid_argument on malformed carriers.
-  [[nodiscard]] std::pair<std::vector<copland::EvidencePtr>, netsim::SimTime>
-  inspect(const nac::EvidenceCarrier& carrier) const;
-
   [[nodiscard]] const std::string& place() const { return place_; }
   [[nodiscard]] crypto::Signer& signer() { return *signer_; }
 

@@ -1,18 +1,27 @@
-// Reference match semantics for dataplane::Table, for differential tests
-// and bench_state: a linear scan over Table::entries(). The winner is the
+// Reference semantics for the dataplane's state, for differential tests
+// and bench_state, written over public accessors only.
+//
+// Matching: a linear scan over Table::entries(). The winner is the
 // highest-priority matching entry; ties go to the longest total LPM
 // prefix, then to the first inserted (lowest index). Table::match must
 // agree with it on every key, whichever path (exact-match index or scan)
 // it takes.
+//
+// Digests: O(n) recomputes that rehash every leaf and build a fresh tree.
+// Table::content_digest(), RegisterFile::state_digest() and
+// DataplaneProgram::tables_digest() maintain theirs incrementally and must
+// be bit-identical to these after any sequence of mutations.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "crypto/merkle.h"
 #include "dataplane/packet.h"
-#include "dataplane/table.h"
+#include "dataplane/program.h"
 
 namespace pera::dataplane::oracle {
 
@@ -79,6 +88,41 @@ inline std::optional<std::vector<std::uint64_t>> key_of(
     }
   }
   return key;
+}
+
+/// Every entry leaf, then the default-action leaf.
+inline crypto::Digest content_digest_full(const Table& t) {
+  std::vector<crypto::Digest> leaves;
+  leaves.reserve(t.entry_count() + 1);
+  for (const TableEntry& e : t.entries()) {
+    leaves.push_back(Table::entry_leaf(e));
+  }
+  leaves.push_back(Table::default_leaf(t.default_action(), t.default_params()));
+  return crypto::MerkleTree(std::move(leaves)).root();
+}
+
+/// Per array in name order: its schema leaf, then one leaf per chunk.
+inline crypto::Digest state_digest_full(const RegisterFile& regs) {
+  std::vector<crypto::Digest> leaves;
+  for (const std::string& name : regs.names()) {
+    const std::vector<std::uint64_t>& values = regs.values(name);
+    leaves.push_back(RegisterFile::schema_leaf(name, values.size()));
+    const std::size_t chunks =
+        (values.size() + RegisterFile::kChunkValues - 1) /
+        RegisterFile::kChunkValues;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      leaves.push_back(RegisterFile::chunk_leaf(values, c));
+    }
+  }
+  return crypto::MerkleTree(std::move(leaves)).root();
+}
+
+/// A tree over every table's full content digest, in pipeline order.
+inline crypto::Digest tables_digest_full(const DataplaneProgram& prog) {
+  std::vector<crypto::Digest> leaves;
+  leaves.reserve(prog.tables().size());
+  for (const auto& t : prog.tables()) leaves.push_back(content_digest_full(*t));
+  return crypto::MerkleTree(std::move(leaves)).root();
 }
 
 }  // namespace pera::dataplane::oracle

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/deployment.h"
+#include "merkle_oracle.h"
 
 namespace pera::core {
 namespace {
@@ -36,6 +37,30 @@ TEST(BatchedFlow, WrappedSignaturesVerify) {
     EXPECT_TRUE(crypto::verify_any(v, items[i], wrapped[i]));
     EXPECT_FALSE(crypto::verify_any(v, crypto::sha256("other"), wrapped[i]));
   }
+}
+
+// Golden bytes: the wrapped receipts (root, Merkle proof with its
+// zero-digest promotion markers, root signature) for a fixed key and fixed
+// items. The hashes pin the kBatched wire format across tree rewrites.
+TEST(BatchedFlow, GoldenReceiptBytes) {
+  crypto::HmacSigner signer(crypto::sha256("pera.golden.batcher"));
+  std::vector<std::string> got;
+  for (const std::size_t n : {1u, 3u, 8u}) {
+    ::pera::pera::EvidenceBatcher batcher(signer, 64);
+    for (std::size_t i = 0; i < n; ++i) {
+      (void)batcher.add(crypto::sha256("golden.item." + std::to_string(i)));
+    }
+    crypto::Sha256 h;
+    for (const crypto::Signature& s : batcher.flush_wrapped()) {
+      const crypto::Bytes ser = s.serialize();
+      h.update(crypto::BytesView{ser.data(), ser.size()});
+    }
+    got.push_back(h.finish().hex());
+  }
+  EXPECT_EQ(got, (std::vector<std::string>{
+      "caf3f04b70479a90927e676042c21d231db57b3f96c494a2f71be5c769a4ba64",
+      "f4fffb071f9d3837df33ac40e4b1df9577ea67018d2e6263f3ffab80c59d5840",
+      "c4182fc7e205fd9bbc5702d11a949e4d901ac37da340a1aa957052928967db01"}));
 }
 
 TEST(BatchedFlow, EndToEndAppraisalSucceeds) {
@@ -109,7 +134,7 @@ TEST(BatchedFlow, NestedBatchedSignatureRejected) {
   const crypto::Verifier& v = *keys.verifier_for("sw");
   const crypto::Digest msg = crypto::sha256("m");
   const crypto::Signature inner = s.sign(msg);
-  const crypto::MerkleTree tree({msg});
+  const crypto::oracle::MerkleReference tree({msg});
   const crypto::Signature once =
       crypto::wrap_batched(tree.root(), tree.prove(0), inner);
   EXPECT_TRUE(crypto::verify_any(v, msg, once));

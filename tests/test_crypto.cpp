@@ -3,6 +3,9 @@
 // signer/verifier interfaces, key store and nonce registry.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
 #include "crypto/keystore.h"
@@ -11,6 +14,7 @@
 #include "crypto/sha256.h"
 #include "crypto/signer.h"
 #include "crypto/wots.h"
+#include "merkle_oracle.h"
 
 namespace pera::crypto {
 namespace {
@@ -396,7 +400,7 @@ TEST_P(MerkleSizes, AllProofsVerify) {
   const int n = GetParam();
   std::vector<Digest> leaves;
   for (int i = 0; i < n; ++i) leaves.push_back(sha256("leaf" + std::to_string(i)));
-  const MerkleTree tree(leaves);
+  MerkleTree tree(leaves);
   for (int i = 0; i < n; ++i) {
     const auto proof = tree.prove(static_cast<std::uint64_t>(i));
     EXPECT_TRUE(MerkleTree::verify(tree.root(), leaves[static_cast<std::size_t>(i)], proof))
@@ -410,34 +414,108 @@ INSTANTIATE_TEST_SUITE_P(Sizes, MerkleSizes,
 
 TEST(Merkle, WrongLeafFails) {
   std::vector<Digest> leaves = {sha256("a"), sha256("b"), sha256("c")};
-  const MerkleTree tree(leaves);
+  MerkleTree tree(leaves);
   const auto proof = tree.prove(1);
   EXPECT_FALSE(MerkleTree::verify(tree.root(), sha256("x"), proof));
 }
 
 TEST(Merkle, EmptyTreeHasZeroRoot) {
-  const MerkleTree tree({});
+  MerkleTree tree(std::vector<Digest>{});
   EXPECT_TRUE(tree.root().is_zero());
 }
 
 TEST(Merkle, RootChangesWithAnyLeaf) {
   std::vector<Digest> leaves = {sha256("a"), sha256("b"), sha256("c"),
                                 sha256("d")};
-  const MerkleTree t1(leaves);
+  MerkleTree t1(leaves);
   leaves[2] = sha256("C");
-  const MerkleTree t2(leaves);
+  MerkleTree t2(leaves);
   EXPECT_NE(t1.root(), t2.root());
 }
 
 TEST(Merkle, ProveOutOfRangeThrows) {
-  const MerkleTree tree({sha256("a")});
+  MerkleTree tree({sha256("a")});
   EXPECT_THROW((void)tree.prove(1), std::out_of_range);
+}
+
+// The root and every leaf's proof equal the scalar reference's.
+void expect_matches_oracle(MerkleTree& tree, const std::vector<Digest>& leaves,
+                           const std::string& where) {
+  const oracle::MerkleReference ref(leaves);
+  ASSERT_EQ(tree.leaf_count(), leaves.size()) << where;
+  ASSERT_EQ(tree.root(), ref.root()) << where;
+  for (std::uint64_t i = 0; i < leaves.size(); ++i) {
+    const MerkleProof got = tree.prove(i);
+    const MerkleProof want = ref.prove(i);
+    ASSERT_EQ(got.leaf_index, want.leaf_index) << where << " leaf " << i;
+    ASSERT_EQ(got.siblings, want.siblings) << where << " leaf " << i;
+  }
+}
+
+TEST(Merkle, RootsAndProofsMatchOracleAtSizes0To100) {
+  std::vector<Digest> leaves;
+  MerkleTree grown;
+  for (int n = 0; n <= 100; ++n) {
+    if (n > 0) {
+      leaves.push_back(sha256("leaf" + std::to_string(n - 1)));
+      EXPECT_EQ(grown.append_leaf(leaves.back()),
+                static_cast<std::size_t>(n - 1));
+    }
+    MerkleTree built(leaves);
+    expect_matches_oracle(built, leaves, "assign n=" + std::to_string(n));
+    expect_matches_oracle(grown, leaves, "append n=" + std::to_string(n));
+  }
+}
+
+TEST(Merkle, RootsAndProofsMatchOracleAfterMutations) {
+  std::mt19937_64 rng(17);
+  for (int run = 0; run < 8; ++run) {
+    std::vector<Digest> leaves;
+    MerkleTree tree;
+    if (run % 2 == 1) {
+      const std::size_t n = rng() % 101;
+      for (std::size_t i = 0; i < n; ++i) {
+        leaves.push_back(sha256("seed" + std::to_string(i)));
+      }
+      tree.assign(leaves);
+    }
+    for (int step = 0; step < 120; ++step) {
+      const Digest d = sha256("v" + std::to_string(run) + "." +
+                              std::to_string(step));
+      const unsigned op = rng() % 6;
+      if ((op < 2 || leaves.empty()) && leaves.size() < 100) {
+        leaves.push_back(d);
+        tree.append_leaf(d);
+      } else if (op < 4 && !leaves.empty()) {
+        const std::size_t i = rng() % leaves.size();
+        leaves[i] = d;
+        tree.set_leaf(i, d);
+      } else if (op == 4) {
+        const std::size_t keep = rng() % (leaves.size() + 1);
+        leaves.resize(keep);
+        tree.truncate(keep);
+      } else if (!leaves.empty()) {
+        // Several writes between flushes: one dirty path per leaf.
+        for (int k = 0; k < 3; ++k) {
+          const std::size_t i = rng() % leaves.size();
+          leaves[i] = sha256(d.hex() + std::to_string(k));
+          tree.set_leaf(i, leaves[i]);
+        }
+      }
+      if (step % 3 == 0) {
+        expect_matches_oracle(tree, leaves,
+                              "run " + std::to_string(run) + " step " +
+                                  std::to_string(step));
+      }
+    }
+    expect_matches_oracle(tree, leaves, "run " + std::to_string(run));
+  }
 }
 
 TEST(Merkle, ProofSerializeRoundTrip) {
   std::vector<Digest> leaves;
   for (int i = 0; i < 9; ++i) leaves.push_back(sha256(std::to_string(i)));
-  const MerkleTree tree(leaves);
+  MerkleTree tree(leaves);
   const auto proof = tree.prove(5);
   const Bytes ser = proof.serialize();
   const auto back = MerkleProof::deserialize(BytesView{ser.data(), ser.size()});
@@ -484,6 +562,27 @@ TEST(Xmss, SignatureSerializeRoundTrip) {
 
 TEST(Xmss, HeightTooLargeThrows) {
   EXPECT_THROW(XmssKeyPair(sha256("s"), 21), std::invalid_argument);
+}
+
+// Golden bytes: the serialized signatures (OTS part and Merkle auth path)
+// must not drift when the tree implementation changes. The hashes pin the
+// wire format.
+TEST(Xmss, GoldenSignatureBytes) {
+  XmssKeyPair kp(sha256("pera.golden.xmss"), 4);
+  std::vector<std::string> got;
+  for (std::uint64_t i = 0; i < kp.capacity(); ++i) {
+    const Bytes ser =
+        kp.sign(sha256("golden.msg." + std::to_string(i))).serialize();
+    if (i == 0 || i == 1 || i + 1 == kp.capacity()) {
+      got.push_back(sha256(BytesView{ser.data(), ser.size()}).hex());
+    }
+  }
+  EXPECT_EQ(kp.public_root().hex(),
+            "8dd0179f1666c2b61a4ae378d3eac6b9141321fa6091d1f1f5179eb1276b9731");
+  EXPECT_EQ(got, (std::vector<std::string>{
+      "e6811cd209a2303d12dfc13668f57a0d7aacd46e780ac9c65d50fed66af09c4d",
+      "064c3c7a2c405f3e3ed9a2b6450f2d40123bdd47cf6e15e221ec2ba8d17e66e1",
+      "742a9ede0ea554fd422ddd9bd7a84895e301a0d23a8df9ccf2bcdf6f64c5e37d"}));
 }
 
 // --- Signer / Verifier ---------------------------------------------------------

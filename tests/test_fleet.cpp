@@ -321,7 +321,7 @@ TEST(FleetAggregate, TamperedAggregatesAreRejected) {
   // ...and recomputing the Merkle root without re-signing breaks the sig.
   std::vector<crypto::Digest> leaves;
   for (const auto& e : flipped.entries) leaves.push_back(e.leaf_digest());
-  flipped.merkle_root = crypto::IncrementalMerkleTree(std::move(leaves)).root();
+  flipped.merkle_root = crypto::MerkleTree(std::move(leaves)).root();
   check = fleet::verify_aggregate(flipped, members, nonce, 3, opts);
   EXPECT_FALSE(check.valid);
   EXPECT_NE(check.reason.find("signature"), std::string::npos);

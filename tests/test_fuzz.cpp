@@ -20,6 +20,7 @@
 #include "ra/certificate.h"
 #include "ra/roles.h"
 #include "ra/endorsement.h"
+#include "merkle_oracle.h"
 
 namespace pera {
 namespace {
@@ -213,7 +214,7 @@ TEST(Fuzz, SignatureDecoder) {
 TEST(Fuzz, MerkleProofDecoder) {
   std::vector<crypto::Digest> leaves;
   for (int i = 0; i < 9; ++i) leaves.push_back(crypto::sha256(std::to_string(i)));
-  const crypto::MerkleTree tree(leaves);
+  const crypto::oracle::MerkleReference tree(leaves);
   fuzz_decoder(tree.prove(4).serialize(), 20, 400,
                [](BytesView d) { (void)crypto::MerkleProof::deserialize(d); });
 }

@@ -3,6 +3,11 @@
 // the builder-constructed ones.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+
 #include "core/netkat_bridge.h"
 #include "crypto/drbg.h"
 #include "dataplane/builder.h"
@@ -179,6 +184,58 @@ table t { key { eth.ethertype: exact; } entry 2048 -> a(); }
   const auto out = sw.process(raw);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->port, 16u);
+}
+
+// Range checks run on the full 64-bit value: 2^32 + 8 bits used to pass the
+// 1..64 width check as 8, a prefix length or priority of 2^32 + 1 became 1,
+// and a 21-digit literal silently wrapped.
+TEST(P4Mini, RejectsOutOfRangeWidthsAndLiterals) {
+  const auto with_action = [](const std::string& body) {
+    return "program x v1;\nheader h { f:8; }\nparser { start: extract h; }\n"
+           "action a() { " + body + " }\n";
+  };
+  EXPECT_THROW((void)compile_p4mini("program x v1;\n"
+                                    "header h { f:4294967304; }\n"
+                                    "parser { start: extract h; }\n"),
+               P4MiniError);
+  EXPECT_THROW((void)compile_p4mini(
+                   with_action("set_egress(99999999999999999999999);")),
+               P4MiniError);
+  EXPECT_THROW((void)compile_p4mini(
+                   with_action("set_egress(0x10000000000000000);")),
+               P4MiniError);
+  EXPECT_NO_THROW((void)compile_p4mini(
+      with_action("set_egress(18446744073709551615); "
+                  "set_meta0(0xffffffffffffffff);")));
+  const auto with_entry = [](const std::string& key, const std::string& entry) {
+    return "program x v1;\nheader h { f:8; }\nparser { start: extract h; }\n"
+           "action a() { drop; }\ntable t { key { h.f: " + key + "; } entry " +
+           entry + " -> a(); }\n";
+  };
+  EXPECT_NO_THROW((void)compile_p4mini(
+      with_entry("lpm/64", "5/64 prio 4294967295")));
+  EXPECT_THROW((void)compile_p4mini(with_entry("lpm", "5/4294967297")),
+               P4MiniError);
+  EXPECT_THROW((void)compile_p4mini(with_entry("lpm", "5/8 prio 4294967297")),
+               P4MiniError);
+  EXPECT_THROW((void)compile_p4mini(with_entry("lpm/4294967360", "5/8")),
+               P4MiniError);
+}
+
+// The fuzz seed corpus is the built-in sources, byte for byte.
+TEST(P4Mini, FixtureSourcesMatchBuiltInPrograms) {
+  const std::pair<const char*, const char*> files[] = {
+      {"router_v1.p4", p4src::router_v1()},
+      {"firewall_v5.p4", p4src::firewall_v5()},
+      {"acl_v3.p4", p4src::acl_v3()},
+      {"rogue_router_v1.p4", p4src::rogue_router_v1()}};
+  for (const auto& [name, src] : files) {
+    std::ifstream in(std::string(PERA_FIXTURES_DIR) + "/p4mini/" + name);
+    ASSERT_TRUE(in) << name;
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(text.str(), src) << name;
+  }
 }
 
 // --- behavioural equivalence with the builder programs -------------------------

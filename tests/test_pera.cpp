@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <set>
+#include <string>
 
 #include "crypto/keystore.h"
 #include "nac/compiler.h"
@@ -178,6 +179,24 @@ TEST(Cache, DisabledAlwaysMisses) {
   (void)sw.attest_challenge(nac::mask_of(nac::EvidenceDetail::kProgram), n);
   EXPECT_EQ(sw.cache().stats().hits, 0u);
   EXPECT_EQ(sw.cache().stats().misses, 2u);
+}
+
+TEST(Cache, DistinctNoncesStayWithinTheBound) {
+  Bed bed;
+  PeraSwitch sw = bed.make_switch();
+  const auto mask = nac::mask_of(nac::EvidenceDetail::kProgram);
+  const crypto::Nonce repeated{crypto::sha256("repeated")};
+  (void)sw.attest_challenge(mask, repeated);
+  for (int i = 0; i < 10000; ++i) {
+    (void)sw.attest_challenge(
+        mask, crypto::Nonce{crypto::sha256("fresh" + std::to_string(i))});
+    ASSERT_LE(sw.cache().size(), EvidenceCache::kCapacity) << i;
+    // A nonce still in use keeps hitting however many fresh ones arrive.
+    if (i % 4 == 0) (void)sw.attest_challenge(mask, repeated);
+  }
+  EXPECT_EQ(sw.cache().size(), EvidenceCache::kCapacity);
+  EXPECT_EQ(sw.cache().stats().hits, 2500u);
+  EXPECT_EQ(sw.cache().stats().misses, 10001u);
 }
 
 TEST(Cache, HitRate) {

@@ -1,4 +1,4 @@
-// Incremental state attestation: the IncrementalMerkleTree engine, the
+// Incremental state attestation: the MerkleTree node store, the
 // dirty-leaf Table / dirty-chunk RegisterFile digests built on it, the
 // exact-match lookup index, and the measurement-epoch semantics that make
 // evidence caching sound. The core obligation everywhere: the incremental
@@ -8,12 +8,12 @@
 
 #include <random>
 
-#include "crypto/incremental_merkle.h"
 #include "crypto/merkle.h"
 #include "dataplane/builder.h"
 #include "dataplane/nf.h"
 #include "dataplane/program.h"
 #include "pera/measurement.h"
+#include "merkle_oracle.h"
 #include "table_oracle.h"
 
 namespace pera {
@@ -25,26 +25,27 @@ crypto::Digest leaf_of(std::uint64_t i) {
   return crypto::sha256(crypto::BytesView{b.data(), b.size()});
 }
 
-// --- IncrementalMerkleTree ------------------------------------------------
+// --- MerkleTree: incremental recompute -------------------------------------
 
 TEST(IncMerkle, EmptyTreeHasZeroRoot) {
-  crypto::IncrementalMerkleTree t;
+  crypto::MerkleTree t;
   EXPECT_EQ(t.root(), crypto::Digest{});
   EXPECT_EQ(t.leaf_count(), 0u);
 }
 
 TEST(IncMerkle, MatchesReferenceAtEverySize) {
-  crypto::IncrementalMerkleTree t;
+  crypto::MerkleTree t;
   std::vector<crypto::Digest> leaves;
   for (std::uint64_t i = 0; i < 40; ++i) {
     leaves.push_back(leaf_of(i));
     t.append_leaf(leaves.back());
-    ASSERT_EQ(t.root(), crypto::MerkleTree(leaves).root()) << "size " << i + 1;
+    ASSERT_EQ(t.root(), crypto::oracle::merkle_root(leaves))
+        << "size " << i + 1;
   }
 }
 
 TEST(IncMerkle, SetLeafRecomputesOnlyThePath) {
-  crypto::IncrementalMerkleTree t;
+  crypto::MerkleTree t;
   std::vector<crypto::Digest> leaves;
   for (std::uint64_t i = 0; i < 1024; ++i) {
     leaves.push_back(leaf_of(i));
@@ -54,13 +55,13 @@ TEST(IncMerkle, SetLeafRecomputesOnlyThePath) {
   const std::uint64_t before = t.stats().nodes_rehashed;
   t.set_leaf(17, leaf_of(9999));
   leaves[17] = leaf_of(9999);
-  EXPECT_EQ(t.root(), crypto::MerkleTree(leaves).root());
+  EXPECT_EQ(t.root(), crypto::oracle::merkle_root(leaves));
   // One dirty leaf in a 1024-leaf tree: exactly one parent per level.
   EXPECT_EQ(t.stats().nodes_rehashed - before, 10u);
 }
 
 TEST(IncMerkle, NoOpSetLeafKeepsTreeClean) {
-  crypto::IncrementalMerkleTree t;
+  crypto::MerkleTree t;
   t.append_leaf(leaf_of(1));
   t.append_leaf(leaf_of(2));
   (void)t.root();
@@ -70,7 +71,7 @@ TEST(IncMerkle, NoOpSetLeafKeepsTreeClean) {
 }
 
 TEST(IncMerkle, SetLeafOutOfRangeThrows) {
-  crypto::IncrementalMerkleTree t;
+  crypto::MerkleTree t;
   EXPECT_THROW(t.set_leaf(0, leaf_of(0)), std::out_of_range);
   t.append_leaf(leaf_of(0));
   EXPECT_THROW(t.set_leaf(1, leaf_of(0)), std::out_of_range);
@@ -78,7 +79,7 @@ TEST(IncMerkle, SetLeafOutOfRangeThrows) {
 
 TEST(IncMerkle, RandomizedDifferentialAgainstReference) {
   std::mt19937_64 rng(42);
-  crypto::IncrementalMerkleTree t;
+  crypto::MerkleTree t;
   std::vector<crypto::Digest> ref;
   std::uint64_t salt = 0;
   for (int step = 0; step < 3000; ++step) {
@@ -98,10 +99,11 @@ TEST(IncMerkle, RandomizedDifferentialAgainstReference) {
       t.truncate(keep);
     }
     if (op == 9 || step % 37 == 0) {
-      ASSERT_EQ(t.root(), crypto::MerkleTree(ref).root()) << "step " << step;
+      ASSERT_EQ(t.root(), crypto::oracle::merkle_root(ref))
+          << "step " << step;
     }
   }
-  EXPECT_EQ(t.root(), crypto::MerkleTree(ref).root());
+  EXPECT_EQ(t.root(), crypto::oracle::merkle_root(ref));
   EXPECT_GT(t.stats().nodes_rehashed, 0u);
 }
 
@@ -136,11 +138,11 @@ TEST(StateAttestTable, IncrementalDigestMatchesFullUnderRandomOps) {
       ++salt;
     }
     if (step % 11 == 0) {
-      ASSERT_EQ(t.content_digest(), t.content_digest_full())
+      ASSERT_EQ(t.content_digest(), dataplane::oracle::content_digest_full(t))
           << "step " << step;
     }
   }
-  EXPECT_EQ(t.content_digest(), t.content_digest_full());
+  EXPECT_EQ(t.content_digest(), dataplane::oracle::content_digest_full(t));
 }
 
 TEST(StateAttestTable, DigestUnchangedByLookups) {
@@ -325,12 +327,13 @@ TEST(StateAttestRegisters, IncrementalDigestMatchesFullUnderRandomWrites) {
     const std::size_t size = regs.size(name);
     regs.write(name, rng() % size, rng());
     if (step % 7 == 0) {
-      ASSERT_EQ(regs.state_digest(), regs.state_digest_full())
+      ASSERT_EQ(regs.state_digest(),
+                dataplane::oracle::state_digest_full(regs))
           << "step " << step;
     }
     if (step == 200) regs.declare("d", 10);  // mid-sequence re-layout
   }
-  EXPECT_EQ(regs.state_digest(), regs.state_digest_full());
+  EXPECT_EQ(regs.state_digest(), dataplane::oracle::state_digest_full(regs));
 }
 
 TEST(StateAttestRegisters, NoOpWriteLeavesEvidenceValid) {
@@ -356,7 +359,7 @@ TEST(StateAttestRegisters, RedeclareChangesDigest) {
   const crypto::Digest d64 = regs.state_digest();
   regs.declare("r", 128);  // schema leaf changes even though values are 0
   EXPECT_NE(regs.state_digest(), d64);
-  EXPECT_EQ(regs.state_digest(), regs.state_digest_full());
+  EXPECT_EQ(regs.state_digest(), dataplane::oracle::state_digest_full(regs));
 }
 
 // --- Measurement epochs ---------------------------------------------------
@@ -506,9 +509,10 @@ TEST(StateAttestNat, ChurnKeepsIncrementalAndFullDigestsIdentical) {
     now += 10;
     (void)nat.expire_flows(now);
     const auto& prog = nat.sw().program();
-    ASSERT_EQ(prog.tables_digest(), prog.tables_digest_full()) << round;
+    ASSERT_EQ(prog.tables_digest(), dataplane::oracle::tables_digest_full(prog))
+        << round;
     ASSERT_EQ(nat.sw().registers().state_digest(),
-              nat.sw().registers().state_digest_full())
+              dataplane::oracle::state_digest_full(nat.sw().registers()))
         << round;
   }
   EXPECT_GT(nat.flow_count(), 0u);
