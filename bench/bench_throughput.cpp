@@ -29,7 +29,7 @@
 //                     identical across shard counts for a fixed
 //                     (cache, batch); checked whenever the sweep covers
 //                     >= 2 shard counts.
-//   * attribution   — with --profile-json, every cell's profiler
+//   * attribution   — with --profile-json, every cell's stage
 //                     accounted_share must be >= 0.95.
 //
 // Extra flags (stripped before Google Benchmark sees the rest):
@@ -44,7 +44,7 @@
 //                  mind the 2^height per-shard signature budget)
 //   --pin          pin shard/appraiser threads round-robin over the cores
 //   --json=PATH    output path (default BENCH_throughput.json)
-//   --profile-json=PATH  enable the stage profiler and write the
+//   --profile-json=PATH  enable stage recording and write the
 //                  per-cell per-thread stage attribution JSON
 #include <benchmark/benchmark.h>
 
@@ -54,7 +54,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/profiler.h"
+#include "obs/recorder.h"
 #include "obs_bench_main.h"
 #include "pipeline/pipeline.h"
 
@@ -64,7 +64,6 @@ using namespace pera;
 using pipeline::PeraPipeline;
 using pipeline::PipelineOptions;
 using pipeline::PipelineReport;
-namespace prof = obs::profiler;
 
 struct SweepConfig {
   std::size_t packets = 4096;
@@ -75,7 +74,7 @@ struct SweepConfig {
   crypto::SignatureScheme scheme = crypto::SignatureScheme::kHmacDeviceKey;
   bool pin = false;
   std::string json_path = "BENCH_throughput.json";
-  std::string profile_path;  // non-empty = profiler on
+  std::string profile_path;  // non-empty = stage recording on
 };
 
 std::vector<dataplane::RawPacket> make_stream(std::size_t packets,
@@ -113,7 +112,7 @@ struct CellResult {
   std::size_t appraised_flows = 0;
   std::uint64_t appraised_records = 0;
   std::string summary_hex;  // appraisal summary digest (shard-invariant)
-  // Stage attribution for this pass (profiler enabled only).
+  // Stage attribution for this pass (stage recording only).
   double accounted_share = 1.0;
   std::string profile_json;
 };
@@ -133,14 +132,14 @@ CellResult run_cell(std::size_t shards, bool cache, std::size_t batch,
   PeraPipeline pipe("sw1", [] { return dataplane::make_router(); },
                     crypto::sha256("bench-root"), opt);
 
-  const bool profiling = prof::enabled();
-  if (profiling) prof::reset();
+  const bool profiling = obs::stages_enabled();
+  if (profiling) obs::reset_stages();
 
   const auto t0 = std::chrono::steady_clock::now();
   {
     // The submitting thread is the dispatch stage; its submit() calls
     // attribute to dispatch / ring_transit once registered.
-    const prof::ScopedThread dispatcher("dispatch", prof::Stage::kIdle);
+    const obs::ScopedThread dispatcher("dispatch", obs::Stage::kIdle);
     pipe.start();
     for (const dataplane::RawPacket& raw : stream) {
       (void)pipe.submit(raw, &hdr);
@@ -164,12 +163,12 @@ CellResult run_cell(std::size_t shards, bool cache, std::size_t batch,
     cell.wall_pps = static_cast<double>(cell.report.processed()) / wall_s;
   }
   if (profiling) {
-    cell.accounted_share = prof::totals().accounted_share();
-    cell.profile_json = prof::to_json();
+    cell.accounted_share = obs::stage_totals().accounted_share();
+    cell.profile_json = obs::profile_json();
     // Fold this cell's totals into the metrics registry before the next
-    // cell's reset() clears them; the --metrics-json export then carries
-    // pipeline.stage.* accumulated across the whole sweep.
-    prof::publish_metrics();
+    // cell's reset_stages() clears them; the --metrics-json export then
+    // carries pipeline.stage.* accumulated across the whole sweep.
+    obs::publish_stage_metrics();
   }
   return cell;
 }
@@ -299,7 +298,7 @@ void check_gates(const std::vector<CellResult>& cells, const SweepConfig& cfg,
   }
 
   // Attribution: the named stages must cover >= 95% of every thread
-  // window (otherwise the profiler is lying about where time goes).
+  // window (otherwise the stage totals lie about where time goes).
   if (!cfg.profile_path.empty()) {
     for (const CellResult& c : cells) {
       gates.check(c.accounted_share >= 0.95, "attribution",
@@ -313,7 +312,7 @@ int run_sweep(const SweepConfig& cfg) {
   const std::vector<dataplane::RawPacket> stream =
       make_stream(cfg.packets, cfg.flows);
   const nac::PolicyHeader hdr = make_policy_header();
-  if (!cfg.profile_path.empty()) prof::set_enabled(true);
+  if (!cfg.profile_path.empty()) obs::set_stages_enabled(true);
 
   std::vector<CellResult> cells;
   for (const std::size_t shards : cfg.shard_counts) {

@@ -8,7 +8,8 @@
 //                        as the arguments are parsed, before any run, and
 //                        dump obs::dump_json() to PATH at the end
 //                        ("-" writes to stdout)
-//   --trace-capacity=N   resize the trace ring (with --metrics-json)
+//   --trace-capacity=N   events each thread's trace ring keeps (with
+//                        --metrics-json)
 #pragma once
 
 #include <algorithm>
@@ -62,7 +63,7 @@ class Args {
     metrics_path_ = str("--metrics-json", metrics_path_);
     const std::size_t trace_capacity = size("--trace-capacity", 0);
     if (metrics_path_.empty()) return;
-    if (trace_capacity > 0) obs::trace().set_capacity(trace_capacity);
+    if (trace_capacity > 0) obs::set_trace_capacity(trace_capacity);
     obs::reset();
     obs::set_enabled(true);
   }

@@ -26,7 +26,7 @@ scripts/run_verify_fixtures.sh build
 # Fuzz smoke over the attacker-facing input surfaces: under clang these
 # are libFuzzer+ASan binaries, under gcc the standalone replay/mutation
 # driver — either way the same invocation, bounded to 15 s per harness.
-echo "== fuzz smoke (policy parser + wire decoders + packet path + P4-mini) =="
+echo "== fuzz smoke (policy parser + wire decoders + packet path + P4-mini + NetKAT + cadence) =="
 build/fuzz/fuzz_copland_parser -max_total_time=15 -runs=200000 \
   tests/fixtures/verify
 build/fuzz/fuzz_evidence_decoder -max_total_time=15 -runs=200000 \
@@ -39,6 +39,10 @@ build/fuzz/fuzz_dataplane_packet -max_total_time=15 -runs=200000 \
   tests/fixtures/fuzz
 build/fuzz/fuzz_p4mini -max_total_time=15 -runs=200000 \
   tests/fixtures/p4mini
+build/fuzz/fuzz_netkat_parser -max_total_time=15 -runs=200000 \
+  tests/fixtures/netkat
+build/fuzz/fuzz_cadence -max_total_time=15 -runs=200000 \
+  tests/fixtures/cadence tests/fixtures/verify
 
 for b in build/bench/bench_*; do
   # The gated benches write their committed JSON records to the cwd; each
@@ -62,7 +66,7 @@ PERA_SHA256_BACKEND=scalar build/bench/bench_crypto --smoke \
   --json=build/BENCH_crypto.smoke-scalar.json > /dev/null
 grep -q '"auto_backend": "scalar"' build/BENCH_crypto.smoke-scalar.json
 
-# Reduced-config sweep (1 and 4 shards) with the stage profiler on: the
+# Reduced-config sweep (1 and 4 shards) with stage recording on: the
 # bit-identity gate runs inside the bench (nonzero exit on violation),
 # and the profile JSON must attribute time to every pipeline stage.
 echo "== sharded pipeline bench (smoke) =="
@@ -214,16 +218,16 @@ ctest --test-dir build-asan --output-on-failure
 
 # ThreadSanitizer pass over the concurrent code: the SPSC rings, the
 # seqlock epoch block and the dispatcher/worker threads, the control-plane
-# suites (whose obs publishing rides the same atomic registry), and the
+# suites (whose obs publishing rides the same atomic registry), the
 # socket transport — epoll reactors, appraiser hand-off, fleet and
-# relying-party backend threads.
+# relying-party backend threads — and the obs span recorder's slots.
 echo "== ThreadSanitizer (pipeline + control plane) =="
 cmake -B build-tsan -G Ninja -DPERA_WERROR=ON -DPERA_SANITIZE=thread
 cmake --build build-tsan --target pera_tests bench_throughput
 ./build-tsan/tests/pera_tests \
-  --gtest_filter='SpscQueue*:FlowHash*:EpochBlock*:Pipeline*:Ctrl*:Trust*:StateAttest*:IncMerkle*:Net*:Fleet*'
+  --gtest_filter='SpscQueue*:FlowHash*:EpochBlock*:Pipeline*:Ctrl*:Trust*:StateAttest*:IncMerkle*:Net*:Fleet*:Obs*'
 # The TSan bench pass covers the full threaded topology: dispatcher +
-# shard workers + parallel appraiser workers + profiler slots.
+# shard workers + parallel appraiser workers + recorder slots.
 ./build-tsan/bench/bench_throughput --shards=1,4 --packets=256 \
   --json=build-tsan/BENCH_throughput.smoke.json \
   --profile-json=build-tsan/throughput.profile.json \

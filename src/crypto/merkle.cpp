@@ -31,10 +31,9 @@ std::size_t MerkleTree::append_leaf(const Digest& d) {
   auto& leaves = levels_[0];
   const std::size_t index = leaves.size();
   leaves.push_back(d);
+  // Only the new leaf's path changes: a node changes when a child does or
+  // when it gains a sibling, and both lie on that path.
   dirty_.push_back(index);
-  // The formerly-last leaf's ancestors are the last node of every level;
-  // growing the tree can flip their promotion status.
-  if (index > 0) dirty_.push_back(index - 1);
   clean_ = false;
   ++stats_.leaf_writes;
   return index;

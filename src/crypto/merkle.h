@@ -56,8 +56,7 @@ class MerkleTree {
   /// root(). Throws std::out_of_range.
   void set_leaf(std::size_t index, const Digest& d);
 
-  /// Append a leaf; returns its index. The previous last leaf's path is
-  /// also marked dirty (its promotion status may have changed).
+  /// Append a leaf; returns its index. Only its path is rehashed.
   std::size_t append_leaf(const Digest& d);
 
   /// Drop trailing leaves until `new_count` remain. No-op when new_count

@@ -292,7 +292,8 @@ class Compiler {
     PendingRegister reg;
     reg.name = expect(Tok::kIdent).text;
     expect(Tok::kLBracket);
-    reg.size = static_cast<std::size_t>(expect(Tok::kNumber).number);
+    reg.size =
+        number_upto(DataplaneProgram::kMaxRegisterCells, "register size");
     expect(Tok::kRBracket);
     while (!at(Tok::kSemi)) {
       const Token attr = expect(Tok::kIdent);

@@ -39,6 +39,10 @@ Table* DataplaneProgram::table(const std::string& name) {
 void DataplaneProgram::declare_register(const std::string& name,
                                         std::size_t size, bool packet_writable,
                                         StateGuard guard) {
+  if (size > kMaxRegisterCells) {
+    throw std::invalid_argument("register '" + name + "' exceeds " +
+                                std::to_string(kMaxRegisterCells) + " cells");
+  }
   register_decls_.push_back(RegisterDecl{name, size, packet_writable, guard});
   const std::lock_guard<std::mutex> lock(lower_mu_);
   lowered_.reset();

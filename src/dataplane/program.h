@@ -86,6 +86,8 @@ class DataplaneProgram {
     return tables_;
   }
 
+  /// declare_register throws std::invalid_argument above this many cells.
+  static constexpr std::size_t kMaxRegisterCells = std::size_t{1} << 24;
   void declare_register(const std::string& name, std::size_t size,
                         bool packet_writable = false,
                         StateGuard guard = StateGuard::kNone);

@@ -99,6 +99,8 @@ std::vector<Token> lex(std::string_view src) {
     throw NetkatParseError(std::string("unexpected character '") + c + "'",
                            pos);
   }
+  // Chains ("a ; b ; ...") nest as deep as they are long; cap them too.
+  if (out.size() > 65536) throw NetkatParseError("over 65536 tokens", 0);
   out.push_back({Tok::kEnd, "", 0, src.size()});
   return out;
 }
@@ -149,9 +151,10 @@ class Parser {
 
   PolicyPtr parse_atom() {
     if (at(Tok::kLParen)) {
-      advance();
+      enter();
       PolicyPtr p = parse_policy();
       expect(Tok::kRParen);
+      --depth_;
       return p;
     }
     if (at(Tok::kIdent)) {
@@ -194,17 +197,20 @@ class Parser {
 
   PredPtr parse_pred_neg() {
     if (at(Tok::kBang)) {
-      advance();
-      return Predicate::neg(parse_pred_neg());
+      enter();
+      PredPtr p = Predicate::neg(parse_pred_neg());
+      --depth_;
+      return p;
     }
     return parse_pred_atom();
   }
 
   PredPtr parse_pred_atom() {
     if (at(Tok::kLParen)) {
-      advance();
+      enter();
       PredPtr p = parse_pred();
       expect(Tok::kRParen);
+      --depth_;
       return p;
     }
     if (at(Tok::kNumber)) {
@@ -247,6 +253,14 @@ class Parser {
   [[nodiscard]] bool at(Tok k) const { return cur().kind == k; }
   Token advance() { return toks_[pos_++]; }
 
+  // Consumes a '(' or '!', capping the recursion they nest (stack safety).
+  void enter() {
+    if (++depth_ > kMaxDepth) {
+      throw NetkatParseError("nesting deeper than 1024", cur().pos);
+    }
+    advance();
+  }
+
   Token expect(Tok k) {
     if (!at(k)) {
       throw NetkatParseError("unexpected token '" + cur().text + "'",
@@ -255,8 +269,10 @@ class Parser {
     return advance();
   }
 
+  static constexpr std::size_t kMaxDepth = 1024;
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -44,7 +44,7 @@ class NetkatParseError : public std::runtime_error {
   std::size_t pos_;
 };
 
-/// Parse a NetKAT policy from text.
+/// Parse a NetKAT policy from text: at most 65,536 tokens, 1024 nested.
 [[nodiscard]] PolicyPtr parse_policy(std::string_view src);
 
 /// Parse a bare predicate from text.

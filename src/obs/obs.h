@@ -1,5 +1,5 @@
-// Observability facade — one process-wide MetricsRegistry + TraceSink
-// behind a compile-time and a runtime toggle.
+// Observability facade — one process-wide MetricsRegistry and the span
+// recorder (obs/recorder.h) behind a compile-time and a runtime toggle.
 //
 // Compile-time: build with -DPERA_OBS_ENABLED=0 (CMake option PERA_OBS=OFF)
 // and every instrumentation macro compiles to nothing.
@@ -22,7 +22,7 @@
 #include <string_view>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 #ifndef PERA_OBS_ENABLED
 #define PERA_OBS_ENABLED 1
@@ -44,13 +44,15 @@ inline bool enabled() {
 #endif
 }
 
-void set_enabled(bool on);
+inline void set_enabled(bool on) {
+  detail::g_enabled.store(on, std::memory_order_relaxed);
+}
 
-/// The process-wide registry and trace ring.
+/// The process-wide registry.
 MetricsRegistry& metrics();
-TraceSink& trace();
 
-/// Zero all metric values and clear the trace (handles stay valid).
+/// Zero all metric values and clear the trace (handles stay valid); stage
+/// totals are kept (reset_stages()). Call between runs.
 void reset();
 
 /// The simulated clock used to stamp trace events. netsim::Network
@@ -68,20 +70,22 @@ inline void set_sim_now(netsim::SimTime t) {
 void count(std::string_view name, std::uint64_t delta = 1);
 void gauge_set(std::string_view name, std::int64_t value);
 void observe(std::string_view histogram, std::int64_t value);
-void event(SpanKind kind, std::string_view name, netsim::SimTime duration = 0,
-           std::uint64_t value = 0);
+inline void event(SpanKind kind, std::string_view name,
+                  netsim::SimTime duration = 0, std::uint64_t value = 0) {
+  if (enabled()) record(kind, intern(name), duration, value);
+}
 
 /// Full JSON dump: {"metrics": ..., "trace": ...}.
 [[nodiscard]] std::string dump_json();
 
-/// RAII span: records one trace event (and a per-kind counter) when it
-/// goes out of scope, iff observability was enabled at construction.
+/// RAII span: records one trace event when it goes out of scope, iff
+/// observability was enabled at construction.
 /// Simulated cost is attributed explicitly via add_cost() because sim
 /// time does not advance inside a switch's packet path.
 class ScopedSpan {
  public:
   ScopedSpan(SpanKind kind, std::string_view name)
-      : live_(enabled()), kind_(kind), name_(live_ ? name : "") {}
+      : live_(enabled()), kind_(kind), name_(live_ ? intern(name) : 0) {}
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -91,13 +95,13 @@ class ScopedSpan {
   void set_value(std::uint64_t v) { value_ = v; }
 
   ~ScopedSpan() {
-    if (live_) event(kind_, name_, cost_, value_);
+    if (live_) record(kind_, name_, cost_, value_);
   }
 
  private:
   bool live_;
   SpanKind kind_;
-  std::string name_;
+  std::uint32_t name_;
   netsim::SimTime cost_ = 0;
   std::uint64_t value_ = 0;
 };

@@ -7,13 +7,11 @@
 #include "copland/evidence.h"
 #include "crypto/hmac.h"
 #include "obs/obs.h"
-#include "obs/profiler.h"
+#include "obs/recorder.h"
 #include "pipeline/affinity.h"
 #include "pipeline/pipeline.h"
 
 namespace pera::pipeline {
-
-namespace prof = obs::profiler;
 
 namespace {
 
@@ -244,16 +242,16 @@ void ParallelAppraiser::run_worker(std::size_t w) {
     pin_current_thread(static_cast<unsigned>(options_.pin_base) +
                        static_cast<unsigned>(w));
   }
-  const prof::ScopedThread profile("appraiser" + std::to_string(w),
-                                   prof::Stage::kIdle);
+  const obs::ScopedThread profile("appraiser" + std::to_string(w),
+                                  obs::Stage::kIdle);
   WorkerState& state = states_[w];
   EvidenceItem item;
   // Pop one item from `q` and appraise it; false when `q` is empty.
   const auto appraise_one = [&](SpscQueue<EvidenceItem>& q) {
     if (!q.try_pop(item)) return false;
-    prof::enter(prof::Stage::kWotsVerify);
+    obs::enter_stage(obs::Stage::kWotsVerify);
     AppraisedRecord rec = appraise_record(item, verifiers_);
-    prof::enter(prof::Stage::kReassembly);
+    obs::enter_stage(obs::Stage::kReassembly);
     if (options_.record_hook) {
       options_.record_hook(item, std::move(rec));
     } else {
@@ -287,10 +285,10 @@ void ParallelAppraiser::run_worker(std::size_t w) {
       }
       break;
     }
-    prof::enter(prof::Stage::kIdle);
+    obs::enter_stage(obs::Stage::kIdle);
     idle.wait();
   }
-  prof::enter(prof::Stage::kReassembly);
+  obs::enter_stage(obs::Stage::kReassembly);
   for (auto& [flow, records] : state.flows) {
     state.verdicts[flow] = fold_flow(flow, records, options_.mode);
   }
@@ -308,7 +306,7 @@ void ParallelAppraiser::finish() {
   // Deterministic merge: flow slices are disjoint across workers, and
   // std::map orders by flow id — the merged map is independent of worker
   // count and thread timing.
-  const prof::ScopedStage merge(prof::Stage::kMerge);
+  const obs::ScopedStage merge(obs::Stage::kMerge);
   for (WorkerState& state : states_) {
     records_ += state.records;
     verdicts_.merge(state.verdicts);

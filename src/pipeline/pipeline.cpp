@@ -4,12 +4,10 @@
 
 #include "crypto/hmac.h"
 #include "obs/obs.h"
-#include "obs/profiler.h"
+#include "obs/recorder.h"
 #include "pipeline/affinity.h"
 
 namespace pera::pipeline {
-
-namespace prof = obs::profiler;
 
 namespace {
 
@@ -86,7 +84,7 @@ void PeraPipeline::start() {
 
 bool PeraPipeline::submit(const dataplane::RawPacket& raw,
                           const nac::PolicyHeader* header) {
-  const prof::ScopedStage dispatching(prof::Stage::kDispatch);
+  const obs::ScopedStage dispatching(obs::Stage::kDispatch);
   const std::uint64_t flow = flow_hash(extract_flow_key(raw));
   const std::size_t shard = shard_of_flow(flow, workers_.size());
 
@@ -120,7 +118,7 @@ bool PeraPipeline::submit(const dataplane::RawPacket& raw,
     }
     // Lossless backpressure: wait (with escalating backoff, so an
     // oversubscribed worker actually gets cycles) until a slot frees.
-    const prof::ScopedStage blocked(prof::Stage::kRingTransit);
+    const obs::ScopedStage blocked(obs::Stage::kRingTransit);
     Backoff full;
     while (!q.try_push(std::move(job))) full.wait();
   }

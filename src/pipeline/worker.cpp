@@ -5,7 +5,7 @@
 #include <thread>
 
 #include "obs/obs.h"
-#include "obs/profiler.h"
+#include "obs/recorder.h"
 #include "pipeline/affinity.h"
 
 namespace pera::pipeline {
@@ -44,26 +44,25 @@ ShardWorker::ShardWorker(std::uint32_t id, std::string place,
 void ShardWorker::run(const std::atomic<bool>& stop) {
   crypto::engine::publish_metrics();
   if (pin_cpu_ >= 0) pin_current_thread(static_cast<unsigned>(pin_cpu_));
-  namespace prof = obs::profiler;
-  const prof::ScopedThread profile("shard" + std::to_string(id_),
-                                   prof::Stage::kIdle);
+  const obs::ScopedThread profile("shard" + std::to_string(id_),
+                                  obs::Stage::kIdle);
   PacketJob job;
   Backoff idle;
   for (;;) {
     if (queue_.try_pop(job)) {
       idle.reset();
-      prof::enter(prof::Stage::kShardWork);
+      obs::enter_stage(obs::Stage::kShardWork);
       process(std::move(job));
       continue;
     }
     if (stop.load(std::memory_order_acquire) && queue_.empty()) break;
-    prof::enter(prof::Stage::kIdle);
+    obs::enter_stage(obs::Stage::kIdle);
     idle.wait();
   }
   // Defined drain order, step 2 (after the ring is dry): flush the
   // batcher's deferred evidence on this thread, so the final batch
   // reaches the appraiser before finish().
-  prof::enter(prof::Stage::kShardWork);
+  obs::enter_stage(obs::Stage::kShardWork);
   drain_deferred();
 }
 
@@ -91,8 +90,7 @@ void ShardWorker::sync_epoch() {
 }
 
 void ShardWorker::emit(EvidenceItem&& item) {
-  const obs::profiler::ScopedStage transit(
-      obs::profiler::Stage::kRingTransit);
+  const obs::ScopedStage transit(obs::Stage::kRingTransit);
   (void)sink_.accept(id_, std::move(item));
 }
 

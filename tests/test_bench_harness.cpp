@@ -182,23 +182,23 @@ TEST(BenchHarnessArgs, MetricsJsonBothFormsEnableObsAtParseTime) {
     std::remove(path.c_str());
   }
   obs::set_enabled(false);
-  const std::size_t capacity = obs::trace().capacity();
+  const std::size_t capacity = obs::trace_capacity();
   {
     Argv a({"--metrics-json=/nonexistent-dir/m.json", "--trace-capacity=64"});
     bench::Args args(a.argc(), a.argv());
     EXPECT_TRUE(obs::enabled());
-    EXPECT_EQ(obs::trace().capacity(), 64u);
+    EXPECT_EQ(obs::trace_capacity(), 64u);
     EXPECT_EQ(args.rest().size(), 1u);
     EXPECT_FALSE(args.write_metrics()) << "the =PATH form names the dump";
   }
-  obs::trace().set_capacity(capacity);
+  obs::set_trace_capacity(capacity);
   obs::set_enabled(false);
   obs::reset();
   {
     Argv a({"--trace-capacity=64"});
     bench::Args args(a.argc(), a.argv());
     EXPECT_FALSE(obs::enabled()) << "obs stays off without --metrics-json";
-    EXPECT_EQ(obs::trace().capacity(), capacity);
+    EXPECT_EQ(obs::trace_capacity(), capacity);
     EXPECT_TRUE(args.write_metrics()) << "no path: nothing to write";
   }
 }

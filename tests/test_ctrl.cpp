@@ -718,7 +718,7 @@ TEST(CtrlLoop, EpochBumpEmitsObsEvent) {
   const auto before = obs::metrics().counter("pera.epoch.program").value();
   dep.switch_node("s1").pera().load_program(dataplane::make_router());
   EXPECT_EQ(obs::metrics().counter("pera.epoch.program").value(), before + 1);
-  const auto events = obs::trace().snapshot();
+  const auto events = obs::trace_snapshot();
   const bool saw_bump =
       std::any_of(events.begin(), events.end(), [](const obs::SpanEvent& e) {
         return e.kind == obs::SpanKind::kEpochBump;

@@ -2,6 +2,8 @@
 // writing a refinement spec as text against a P4-mini program.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/netkat_bridge.h"
 #include "dataplane/builder.h"
 #include "dataplane/p4mini.h"
@@ -94,6 +96,34 @@ TEST(NetkatParser, Errors) {
   EXPECT_THROW((void)parse_predicate("sw = 1/99"), NetkatParseError);
   EXPECT_THROW((void)parse_policy("filter 3"), NetkatParseError);
   EXPECT_THROW((void)parse_policy("@"), NetkatParseError);
+}
+
+TEST(NetkatParser, DeepNestingIsAnErrorNotAStackOverflow) {
+  const auto nested = [](std::size_t depth, const std::string& open,
+                         const std::string& inner, const std::string& close) {
+    std::string s;
+    for (std::size_t i = 0; i < depth; ++i) s += open;
+    s += inner;
+    for (std::size_t i = 0; i < depth; ++i) s += close;
+    return s;
+  };
+  // Deep enough to overflow the stack, short of the token cap below.
+  EXPECT_THROW((void)parse_policy(nested(30000, "(", "id", ")")),
+               NetkatParseError);
+  EXPECT_THROW((void)parse_predicate(nested(30000, "!", "sw = 1", "")),
+               NetkatParseError);
+  EXPECT_THROW((void)parse_predicate(nested(30000, "(", "sw = 1", ")")),
+               NetkatParseError);
+  // Chains are capped by length: their trees nest one level per term.
+  std::string chain = "id";
+  for (int i = 0; i < 40000; ++i) chain += " ; id";
+  EXPECT_THROW((void)parse_policy(chain), NetkatParseError);
+  EXPECT_THROW((void)parse_policy("id" + std::string(70000, '*')),
+               NetkatParseError);
+  // 1024 levels of '(' or '!' still parse.
+  EXPECT_NO_THROW((void)parse_policy(nested(1024, "(", "id", ")")));
+  EXPECT_NO_THROW(
+      (void)parse_policy("filter " + nested(1024, "!", "sw = 1", "")));
 }
 
 TEST(NetkatParser, PredicateEntryPoint) {

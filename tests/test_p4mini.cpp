@@ -11,6 +11,7 @@
 #include "core/netkat_bridge.h"
 #include "crypto/drbg.h"
 #include "dataplane/builder.h"
+#include "dataplane/nf.h"
 #include "dataplane/p4mini.h"
 
 namespace pera::dataplane {
@@ -220,6 +221,38 @@ TEST(P4Mini, RejectsOutOfRangeWidthsAndLiterals) {
                P4MiniError);
   EXPECT_THROW((void)compile_p4mini(with_entry("lpm/4294967360", "5/8")),
                P4MiniError);
+}
+
+// Register arrays above DataplaneProgram::kMaxRegisterCells are refused
+// when declared, before any switch allocates them: from P4-mini source as
+// a P4MiniError at the declaration's line, and from every other producer
+// as std::invalid_argument. No program is loaded here.
+TEST(P4Mini, RejectsRegisterArraysAboveTheCellBound) {
+  const auto with_register = [](const std::string& size) {
+    return "program x v1;\nheader h { f:8; }\nparser { start: extract h; }\n"
+           "register r[" + size + "] packet;\n";
+  };
+  constexpr std::size_t kMax = DataplaneProgram::kMaxRegisterCells;
+  for (const std::string& size :
+       {std::string("4294967296000"), std::to_string(kMax + 1)}) {
+    try {
+      (void)compile_p4mini(with_register(size));
+      ADD_FAILURE() << "register r[" << size << "] compiled";
+    } catch (const P4MiniError& e) {
+      EXPECT_EQ(e.line(), 4u) << e.what();
+    }
+  }
+  const auto at_bound = compile_p4mini(with_register(std::to_string(kMax)));
+  ASSERT_EQ(at_bound->register_decls().size(), 1u);
+  EXPECT_EQ(at_bound->register_decls()[0].size, kMax);
+
+  const auto router = make_router();
+  const std::size_t before = router->register_decls().size();
+  EXPECT_THROW(router->declare_register("big", kMax + 1),
+               std::invalid_argument);
+  EXPECT_EQ(router->register_decls().size(), before);
+  EXPECT_THROW(StatefulNat(StatefulNat::Config{.capacity = kMax + 1}),
+               std::invalid_argument);
 }
 
 // The fuzz seed corpus is the built-in sources, byte for byte.

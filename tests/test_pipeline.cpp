@@ -16,7 +16,7 @@
 #include <thread>
 
 #include "evidence_oracle.h"
-#include "obs/profiler.h"
+#include "obs/recorder.h"
 #include "pipeline/pipeline.h"
 
 namespace pera::pipeline {
@@ -749,35 +749,34 @@ TEST(PipelinePool, RecycleRingReusesBuffersUnderBackpressure) {
   EXPECT_EQ(pipe.appraiser()->flows(), 8u);
 }
 
-// --- stage profiler -------------------------------------------------------------
+// --- stage recording ------------------------------------------------------------
 
 TEST(PipelineProfiler, AttributesThreadTimeToStages) {
-  namespace prof = obs::profiler;
-  prof::set_enabled(true);
-  prof::reset();
+  obs::set_stages_enabled(true);
+  obs::reset_stages();
   {
-    const prof::ScopedThread reg("test", prof::Stage::kIdle);
-    prof::enter(prof::Stage::kShardWork);
+    const obs::ScopedThread reg("test", obs::Stage::kIdle);
+    obs::enter_stage(obs::Stage::kShardWork);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     {
-      const prof::ScopedStage verify(prof::Stage::kWotsVerify);
+      const obs::ScopedStage verify(obs::Stage::kWotsVerify);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }  // restores kShardWork
-    prof::enter(prof::Stage::kMerge);
+    obs::enter_stage(obs::Stage::kMerge);
   }
-  const prof::StageTotals t = prof::totals();
-  const auto ns_of = [&t](prof::Stage s) {
+  const obs::StageTotals t = obs::stage_totals();
+  const auto ns_of = [&t](obs::Stage s) {
     return t.wall_ns[static_cast<std::size_t>(s)];
   };
-  EXPECT_GE(ns_of(prof::Stage::kShardWork), 2'000'000u);
-  EXPECT_GE(ns_of(prof::Stage::kWotsVerify), 1'000'000u);
+  EXPECT_GE(ns_of(obs::Stage::kShardWork), 2'000'000u);
+  EXPECT_GE(ns_of(obs::Stage::kWotsVerify), 1'000'000u);
   EXPECT_GT(t.window_ns, 0u);
   // The invariant the bench gate relies on: a registered thread is always
   // inside exactly one stage, so the stage sums cover its whole window.
   EXPECT_GE(t.accounted_share(), 0.95);
   EXPECT_LE(t.accounted_ns(), t.window_ns + 1'000'000u);  // clock slop
 
-  const std::string json = prof::to_json();
+  const std::string json = obs::profile_json();
   for (const char* key :
        {"dispatch", "ring_transit", "shard_work", "reassembly",
         "wots_verify", "merge", "idle", "accounted_share"}) {
@@ -785,33 +784,31 @@ TEST(PipelineProfiler, AttributesThreadTimeToStages) {
   }
   EXPECT_NE(json.find("\"role\":\"test\""), std::string::npos);
 
-  prof::reset();
-  EXPECT_EQ(prof::totals().window_ns, 0u);
-  prof::set_enabled(false);
+  obs::reset_stages();
+  EXPECT_EQ(obs::stage_totals().window_ns, 0u);
+  obs::set_stages_enabled(false);
 }
 
 TEST(PipelineProfiler, DisabledProfilerRecordsNothing) {
-  namespace prof = obs::profiler;
-  prof::set_enabled(false);
-  prof::reset();
+  obs::set_stages_enabled(false);
+  obs::reset_stages();
   {
-    const prof::ScopedThread reg("ghost", prof::Stage::kIdle);
-    prof::enter(prof::Stage::kShardWork);  // all no-ops while disabled
+    const obs::ScopedThread reg("ghost", obs::Stage::kIdle);
+    obs::enter_stage(obs::Stage::kShardWork);  // all no-ops while disabled
   }
-  EXPECT_EQ(prof::totals().window_ns, 0u);
-  EXPECT_EQ(prof::totals().accounted_share(), 1.0);
+  EXPECT_EQ(obs::stage_totals().window_ns, 0u);
+  EXPECT_EQ(obs::stage_totals().accounted_share(), 1.0);
 }
 
 TEST(PipelineProfiler, ResetInvalidatesLiveThreadCursors) {
-  namespace prof = obs::profiler;
-  prof::set_enabled(true);
-  prof::reset();
-  prof::thread_begin("stale", prof::Stage::kIdle);
-  prof::reset();  // bumps the generation: the cursor must go quiet
-  prof::enter(prof::Stage::kShardWork);
-  prof::thread_end();
-  EXPECT_EQ(prof::totals().window_ns, 0u);
-  prof::set_enabled(false);
+  obs::set_stages_enabled(true);
+  obs::reset_stages();
+  obs::thread_begin("stale", obs::Stage::kIdle);
+  obs::reset_stages();  // bumps the generation: the cursor must go quiet
+  obs::enter_stage(obs::Stage::kShardWork);
+  obs::thread_end();
+  EXPECT_EQ(obs::stage_totals().window_ns, 0u);
+  obs::set_stages_enabled(false);
 }
 
 // --- report ---------------------------------------------------------------------

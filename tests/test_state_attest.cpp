@@ -60,6 +60,23 @@ TEST(IncMerkle, SetLeafRecomputesOnlyThePath) {
   EXPECT_EQ(t.stats().nodes_rehashed - before, 10u);
 }
 
+TEST(IncMerkle, AppendToFlushedPowerOfTwoTreeHashesOnlyTheNewRoot) {
+  // The new leaf is promoted unpaired up to the old root's level, where it
+  // pairs with the old root: one hash, whatever the tree's size.
+  for (std::size_t n = 2; n <= 1024; n *= 2) {
+    crypto::MerkleTree t;
+    std::vector<crypto::Digest> leaves;
+    for (std::uint64_t i = 0; i < n; ++i) leaves.push_back(leaf_of(i));
+    t.assign(leaves);
+    (void)t.root();
+    const std::uint64_t before = t.stats().nodes_rehashed;
+    leaves.push_back(leaf_of(n));
+    t.append_leaf(leaves.back());
+    EXPECT_EQ(t.root(), crypto::oracle::merkle_root(leaves)) << n;
+    EXPECT_EQ(t.stats().nodes_rehashed - before, 1u) << n;
+  }
+}
+
 TEST(IncMerkle, NoOpSetLeafKeepsTreeClean) {
   crypto::MerkleTree t;
   t.append_leaf(leaf_of(1));

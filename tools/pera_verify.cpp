@@ -238,6 +238,8 @@ int build_program(const std::string& spec, ProgramHolder& holder) {
     }
   } catch (const P4MiniError& e) {
     return fail(std::string("--program: ") + e.what());
+  } catch (const std::invalid_argument& e) {  // e.g. nat:CAPACITY too large
+    return fail(std::string("--program: ") + e.what());
   }
   return 0;
 }
